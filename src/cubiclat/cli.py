@@ -6,6 +6,12 @@ JSON output is an envelope {command, inputs, result, citations}; the
 citations list states the mathematical claim each check relies on, so
 logs are readable on their own.  repro output is deterministic:
 bit-identical across runs.
+
+A subcommand is one entry in the command table: the @command decorator on
+its handler registers the group, the name, the CLAIMS key (or a repro
+suite's citation list) and the argparse arguments, and both the parser and
+the envelope's command and citations are built from that entry.  A handler
+takes the parsed arguments and returns (inputs, result, human_lines).
 """
 
 import argparse
@@ -84,323 +90,266 @@ def _fail(msg: str):
     raise PreconditionError(msg)
 
 
-def _read_json(args, flag: str):
-    inline = getattr(args, flag, None)
-    path = args.file
-    if (inline is None) == (path is None):
-        _fail(f"provide exactly one of --{flag} or --file")
+# the input loaders every handler shares; outside input that is not what
+# they expect ends in a PreconditionError (exit 2), never a TypeError
+
+
+def _parse_json(text: str, what: str):
     try:
-        if inline is not None:
-            return json.loads(inline)
-        with open(path) as fh:
-            return json.load(fh)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON input: {exc}") from exc
-    except OSError as exc:
-        raise PreconditionError(f"cannot read {path}: {exc}") from exc
+        raise ParseError(f"bad JSON {what}: {exc}") from exc
 
 
-def _read_text(args, flag: str) -> str:
+def _read_input(args, flag: str, text: bool = False):
+    """The primary input: inline --flag or --file, exactly one; JSON unless text."""
     inline = getattr(args, flag, None)
     path = args.file
     if (inline is None) == (path is None):
         _fail(f"provide exactly one of --{flag} or --file")
-    if inline is not None:
-        return inline
-    try:
-        with open(path) as fh:
-            return fh.read().strip()
-    except OSError as exc:
-        raise PreconditionError(f"cannot read {path}: {exc}") from exc
+    if inline is None:
+        try:
+            with open(path) as fh:
+                inline = fh.read()
+        except (OSError, UnicodeError) as exc:
+            raise PreconditionError(f"cannot read {path}: {exc}") from exc
+        if text:
+            inline = inline.strip()
+    return inline if text else _parse_json(inline, "input")
 
 
-def _load_lattice(args, flag: str = "gram") -> lattice.Lattice:
-    data = _read_json(args, flag)
+def _json_arg(args, flag: str, what: str):
+    raw = getattr(args, flag)
+    if raw is None:
+        _fail(f"--{flag} is required")
+    return _parse_json(raw, what)
+
+
+def _ints(data, what: str) -> tuple:
+    """A JSON array of integers as a tuple; floats, booleans and strings are refused."""
+    if not isinstance(data, list):
+        _fail(f"{what} must be a JSON array")
+    if not all(type(x) is int for x in data):
+        _fail(f"{what} must hold JSON integers only")
+    return tuple(data)
+
+
+def _int_rows(data, what: str, noun: str) -> tuple:
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        _fail(f"{what} must be a JSON array of {noun}")
+    return tuple(_ints(row, what) for row in data)
+
+
+def _load_lattice(args) -> lattice.Lattice:
+    data = _read_input(args, "gram")
     if isinstance(data, dict):
         if "gram" not in data:
             _fail("expected a top-level 'gram' key")
         data = data["gram"]
-    if not isinstance(data, list):
-        _fail("gram must be a JSON array of rows")
-    return lattice.Lattice(tuple(tuple(row) for row in data))
+    return lattice.Lattice(_int_rows(data, "gram", "rows"))
 
 
 def _load_marked(args) -> fourfold.MarkedFourfold:
-    data = _read_json(args, "marked")
+    data = _read_input(args, "marked")
     if not isinstance(data, dict):
         _fail("marked input must be an object with gram, h2, p")
     for key in ("gram", "h2", "p"):
         if key not in data:
             _fail(f"marked input is missing {key!r}")
-    return fourfold.MarkedFourfold.from_json(data)
+    return fourfold.MarkedFourfold(
+        lattice.Lattice(_int_rows(data["gram"], "gram", "rows")),
+        _ints(data["h2"], "h2"),
+        _ints(data["p"], "p"),
+    )
 
 
-def _load_vector(args, flag: str):
-    raw = getattr(args, flag, None)
-    if raw is None:
-        _fail(f"--{flag} is required")
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON vector: {exc}") from exc
-    if not isinstance(data, list):
-        _fail(f"--{flag} must be a JSON array")
-    return tuple(int(x) for x in data)
+def _load_vector(args, flag: str) -> tuple:
+    return _ints(_json_arg(args, flag, "vector"), f"--{flag}")
 
 
 def _load_matrix(args) -> detrep.FormMatrix:
-    data = _read_json(args, "matrix")
+    data = _read_input(args, "matrix")
     if not isinstance(data, dict):
         _fail("matrix input must be an object with size, field, entries")
     return detrep.FormMatrix.from_json(data)
 
 
-def _field_arg(args):
-    label = getattr(args, "field", "Q")
-    if label == "Q":
-        return None
-    if label.startswith("Fp:"):
-        p = int(label[3:])
-        forms.check_prime(p)
-        return p
-    _fail(f"unknown field {label!r} (use Q or Fp:<p>)")
+def _load_form(args, flag: str, variables):
+    """The form text (inline --flag or --file) and its parse over --field."""
+    p = forms.parse_field(args.field)
+    text = _read_input(args, flag, text=True)
+    return text, forms.parse_form(text, variables, p)
 
 
-# one handler per subcommand; each returns
-# (command, inputs, result, citations, human_lines)
+GROUPS = {
+    "lat": "lattice invariants",
+    "enum": "vector enumeration",
+    "fourfold": "marked lattice criteria",
+    "detrep": "determinantal representations",
+    "repro": "frozen verification suites",
+}
+COMMANDS = []  # (group, name, citations, arguments, handler) in parser order
 
-def _h_lat_disc(args):
+
+def command(group: str, name: str, cite, *arguments):
+    """Register the decorated handler as the subcommand `group name`."""
+
+    def register(handler):
+        citations = [CLAIMS[cite]] if isinstance(cite, str) else cite
+        COMMANDS.append((group, name, citations, arguments, handler))
+        return handler
+
+    return register
+
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+COMMON = (
+    _arg("--output", choices=("human", "json"), default="human", help="output mode"),
+    _arg("--file", help="read the primary input from a JSON/text file"),
+    _arg(
+        "--enumeration-cap",
+        type=int,
+        default=discgroup.DEFAULT_ENUMERATION_CAP,
+        help="largest discriminant group a Gauss sum will enumerate",
+    ),
+    _arg(
+        "--scan-prime-cap",
+        type=int,
+        default=detrep.DEFAULT_PRIME_CAP,
+        help="largest prime allowed in the fourfold smoothness scan",
+    ),
+)
+GRAM = _arg("--gram", help="inline Gram matrix as JSON")
+MARKED = _arg("--marked", help="inline marked lattice as JSON")
+MATRIX = _arg("--matrix", help="inline form matrix as JSON")
+FIELD = _arg("--field", default="Q", help="Q or Fp:<p>")
+PRIME = _arg("-p", type=int, required=True, help="prime to reduce at")
+JSONL = _arg("--jsonl", action="store_true", help="stream one JSON vector per line instead of the envelope")
+
+
+def _int_flag(name: str):
+    return _arg(f"-{name}", f"--{name}", type=int, required=True)
+
+
+@command("lat", "disc", "disc", GRAM)
+def _lat_disc(args):
     lat = _load_lattice(args)
     d = lattice.discriminant(lat)
-    return ("lat disc", lat.to_json(), d, [CLAIMS["disc"]], [str(d)])
+    return lat.to_json(), d, [str(d)]
 
 
-def _h_lat_sig(args):
+@command("lat", "sig", "sig", GRAM)
+def _lat_sig(args):
     lat = _load_lattice(args)
     sig = lattice.signature(lat)
     result = {"s_plus": sig.s_plus, "s_minus": sig.s_minus, "s_zero": sig.s_zero}
-    return (
-        "lat sig",
-        lat.to_json(),
-        result,
-        [CLAIMS["sig"]],
-        [f"signature (s+, s-, s0) = ({sig.s_plus}, {sig.s_minus}, {sig.s_zero})"],
-    )
+    return lat.to_json(), result, [f"signature (s+, s-, s0) = ({sig.s_plus}, {sig.s_minus}, {sig.s_zero})"]
 
 
-def _h_lat_even(args):
+@command("lat", "even", "even", GRAM)
+def _lat_even(args):
     lat = _load_lattice(args)
     val = lattice.is_even(lat)
-    return ("lat even", lat.to_json(), val, [CLAIMS["even"]], [str(val).lower()])
+    return lat.to_json(), val, [str(val).lower()]
 
 
-def _h_lat_discgroup(args):
+@command("lat", "discgroup", "discgroup", GRAM)
+def _lat_discgroup(args):
     lat = _load_lattice(args)
-    dg = discgroup.discriminant_group(lat)
-    return (
-        "lat discgroup",
-        lat.to_json(),
-        dg.to_json(),
-        [CLAIMS["discgroup"]],
-        [
-            f"invariant factors: {list(dg.orders)}",
-            f"generators (rational coordinates): {dg.to_json()['generators']}",
-        ],
-    )
+    dg = discgroup.discriminant_group(lat).to_json()
+    human = [f"invariant factors: {dg['orders']}", f"generators (rational coordinates): {dg['generators']}"]
+    return lat.to_json(), dg, human
 
 
-def _h_lat_milgram(args):
+@command("lat", "milgram", "milgram", GRAM)
+def _lat_milgram(args):
     lat = _load_lattice(args)
     form = discgroup.discriminant_form(lat)
     sigma = discgroup.milgram_signature(form, args.enumeration_cap)
-    return (
-        "lat milgram",
-        lat.to_json(),
-        {"residue": sigma, "orders": list(form.orders)},
-        [CLAIMS["milgram"]],
-        [f"Milgram residue: {sigma} (group orders {list(form.orders)})"],
-    )
+    result = {"residue": sigma, "orders": list(form.orders)}
+    return lat.to_json(), result, [f"Milgram residue: {sigma} (group orders {list(form.orders)})"]
 
 
-def _h_lat_complement(args):
+@command("lat", "complement", "complement", GRAM, _arg("--vectors", help="inline vectors as JSON"))
+def _lat_complement(args):
     lat = _load_lattice(args)
-    if args.vectors is None:
-        _fail("--vectors is required")
-    try:
-        vectors = json.loads(args.vectors)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON vectors: {exc}") from exc
-    if not isinstance(vectors, list) or not all(isinstance(v, list) for v in vectors):
-        _fail("--vectors must be a JSON array of vectors")
-    basis, comp = lattice.orthogonal_complement(lat, [tuple(v) for v in vectors])
+    vectors = _int_rows(_json_arg(args, "vectors", "vectors"), "--vectors", "vectors")
+    basis, comp = lattice.orthogonal_complement(lat, vectors)
     result = {"basis": [list(v) for v in basis], "gram": [list(r) for r in comp.gram]}
-    return (
-        "lat complement",
-        {"gram": lat.to_json()["gram"], "vectors": vectors},
-        result,
-        [CLAIMS["complement"]],
-        [f"basis: {result['basis']}", f"gram: {result['gram']}"],
-    )
+    inputs = {"gram": lat.to_json()["gram"], "vectors": vectors}
+    return inputs, result, [f"basis: {result['basis']}", f"gram: {result['gram']}"]
 
 
-def _h_lat_index(args):
+@command("lat", "index", "index", GRAM, _arg("--basis", help="inline basis as JSON"))
+def _lat_index(args):
     lat = _load_lattice(args)
-    if args.basis is None:
-        _fail("--basis is required")
-    try:
-        basis = json.loads(args.basis)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON basis: {exc}") from exc
-    idx = lattice.sublattice_index(lat, [tuple(v) for v in basis])
-    return (
-        "lat index",
-        {"gram": lat.to_json()["gram"], "basis": basis},
-        idx,
-        [CLAIMS["index"]],
-        [str(idx)],
-    )
+    basis = _int_rows(_json_arg(args, "basis", "basis"), "--basis", "vectors")
+    idx = lattice.sublattice_index(lat, basis)
+    return {"gram": lat.to_json()["gram"], "basis": basis}, idx, [str(idx)]
 
 
-def _h_enum_norm(args):
+def _vector_list(inputs, vecs):
+    human = [f"{len(vecs)} vector(s)"] + [" ".join(str(x) for x in v) for v in vecs]
+    return inputs, [list(v) for v in vecs], human
+
+
+@command("enum", "norm", "norm", GRAM, _arg("--norm", type=int, required=True, help="target norm"), JSONL)
+def _enum_norm(args):
     lat = _load_lattice(args)
     vecs = enumeration.vectors_of_norm(lat, args.norm)
-    return _enum_result("enum norm", lat, vecs, args, extra={"norm": args.norm})
+    return _vector_list({**lat.to_json(), "norm": args.norm}, vecs)
 
 
-def _h_enum_shortroots(args):
+@command("enum", "shortroots", "shortroots", GRAM, JSONL)
+def _enum_shortroots(args):
     lat = _load_lattice(args)
-    vecs = enumeration.short_roots(lat)
-    return _enum_result("enum shortroots", lat, vecs, args, claim="shortroots")
+    return _vector_list(lat.to_json(), enumeration.short_roots(lat))
 
 
-def _h_enum_longroots(args):
+@command("enum", "longroots", "longroots", GRAM, JSONL)
+def _enum_longroots(args):
     lat = _load_lattice(args)
-    vecs = enumeration.long_roots(lat)
-    return _enum_result("enum longroots", lat, vecs, args, claim="longroots")
+    return _vector_list(lat.to_json(), enumeration.long_roots(lat))
 
 
-def _enum_result(command, lat, vecs, args, extra=None, claim="norm"):
-    inputs = lat.to_json()
-    if extra:
-        inputs.update(extra)
-    result = [list(v) for v in vecs]
-    human = [f"{len(vecs)} vector(s)"] + [" ".join(str(x) for x in v) for v in vecs]
-    return (command, inputs, result, [CLAIMS[claim]], human)
-
-
-def _h_enum_isotropic(args):
+@command("enum", "isotropic", "isotropic", GRAM)
+def _enum_isotropic(args):
     lat = _load_lattice(args)
     exists, witness = enumeration.isotropic_exists(lat)
     result = {"exists": exists, "witness": list(witness) if witness else None}
     human = [f"isotropic vector exists: {str(exists).lower()}"]
     if witness:
         human.append(f"witness: {list(witness)}")
-    return ("enum isotropic", lat.to_json(), result, [CLAIMS["isotropic"]], human)
+    return lat.to_json(), result, human
 
 
-def _h_ff_delta(args):
+@command("fourfold", "delta", "delta", MARKED, _arg("--t", help="class to evaluate, inline JSON"))
+def _ff_delta(args):
     marked = _load_marked(args)
     t = _load_vector(args, "t")
     val = fourfold.delta(marked, t)
-    return (
-        "fourfold delta",
-        {**marked.to_json(), "t": list(t)},
-        val,
-        [CLAIMS["delta"]],
-        [str(val)],
-    )
+    return {**marked.to_json(), "t": list(t)}, val, [str(val)]
 
 
-def _h_ff_oddelta(args):
+@command("fourfold", "oddelta", "oddelta", MARKED)
+def _ff_oddelta(args):
     marked = _load_marked(args)
     val = fourfold.exists_odd_delta(marked)
-    return (
-        "fourfold oddelta",
-        marked.to_json(),
-        val,
-        [CLAIMS["oddelta"]],
-        [str(val).lower()],
-    )
+    return marked.to_json(), val, [str(val).lower()]
 
 
-def _h_ff_trivrat(args):
+@command("fourfold", "trivrat", "trivrat", MARKED)
+def _ff_trivrat(args):
     marked = _load_marked(args)
     val = fourfold.is_trivially_rational_rank3(marked)
-    return (
-        "fourfold trivrat",
-        marked.to_json(),
-        val,
-        [CLAIMS["trivrat"]],
-        [str(val).lower()],
-    )
+    return marked.to_json(), val, [str(val).lower()]
 
 
-def _h_ff_formula(args):
-    det = fourfold.rk2_discriminant_formula(args.a, args.b, args.c)
-    result = {"det": det, "det_odd": det % 2 != 0, "c_odd": args.c % 2 != 0}
-    return (
-        "fourfold formula",
-        {"a": args.a, "b": args.b, "c": args.c},
-        result,
-        [CLAIMS["formula"]],
-        [f"det = {det} ({'odd' if det % 2 else 'even'})"],
-    )
-
-
-def _h_ff_nsax(args):
-    val = fourfold.ns_to_ax_disc(args.dns, args.epsilon)
-    return (
-        "fourfold nsax",
-        {"dns": args.dns, "epsilon": args.epsilon},
-        val,
-        [CLAIMS["nsax"]],
-        [str(val)],
-    )
-
-
-def _h_ff_family(args):
-    params = fourfold.FamilyParams(args.d, args.c)
-    lat = fourfold.build_family_lattice(params)
-    cls = fourfold.classify_family(params)
-    result = {
-        "gram": [list(r) for r in lat.gram],
-        "classification": cls.value,
-        "disc": lattice.discriminant(lat),
-    }
-    return (
-        "fourfold family",
-        {"d": args.d, "c": args.c},
-        result,
-        [CLAIMS["family"]],
-        [f"gram: {result['gram']}", f"classification: {cls.value}"],
-    )
-
-
-def _mayanskiy_human(report) -> list[str]:
-    lines = []
-    for cond in report.conditions:
-        status = "PASS" if cond.passed else "FAIL"
-        lines.append(f"condition {cond.index} ({cond.label}): {status} [{cond.detail}]")
-    lines.append(f"all conditions pass: {str(report.all_pass).lower()}")
-    return lines
-
-
-def _h_ff_mayanskiy(args):
-    lat = _load_lattice(args)
-    a = _load_vector(args, "a")
-    report = fourfold.mayanskiy_check(
-        lat, a, args.long_root_variant, args.enumeration_cap
-    )
-    return (
-        "fourfold mayanskiy",
-        {"gram": lat.to_json()["gram"], "a": list(a), "variant": args.long_root_variant},
-        report.to_json(),
-        [CLAIMS["mayanskiy"]],
-        _mayanskiy_human(report),
-    )
-
-
-def _h_ff_pfaffian(args):
+@command("fourfold", "pfaffian", "pfaffian", MARKED)
+def _ff_pfaffian(args):
     marked = _load_marked(args)
     scan = fourfold.pfaffian_obstruction(marked)
     human = [f"obstructed: {str(scan.obstructed).lower()}"]
@@ -410,97 +359,147 @@ def _h_ff_pfaffian(args):
             f"b(t,p) = {cand.pair_p}"
             + (" [pfaffian pairing]" if cand.pairs_like_pfaffian else "")
         )
-    return (
-        "fourfold pfaffian",
-        marked.to_json(),
-        scan.to_json(),
-        [CLAIMS["pfaffian"]],
-        human,
-    )
+    return marked.to_json(), scan.to_json(), human
 
 
-def _h_det(args):
+@command("fourfold", "formula", "formula", _int_flag("a"), _int_flag("b"), _int_flag("c"))
+def _ff_formula(args):
+    det = fourfold.rk2_discriminant_formula(args.a, args.b, args.c)
+    result = {"det": det, "det_odd": det % 2 != 0, "c_odd": args.c % 2 != 0}
+    inputs = {"a": args.a, "b": args.b, "c": args.c}
+    return inputs, result, [f"det = {det} ({'odd' if det % 2 else 'even'})"]
+
+
+@command(
+    "fourfold",
+    "nsax",
+    "nsax",
+    _arg("--dns", type=int, required=True, help="surface lattice discriminant"),
+    _arg("--epsilon", type=int, required=True, help="1 or 2"),
+)
+def _ff_nsax(args):
+    val = fourfold.ns_to_ax_disc(args.dns, args.epsilon)
+    return {"dns": args.dns, "epsilon": args.epsilon}, val, [str(val)]
+
+
+@command("fourfold", "family", "family", _int_flag("d"), _int_flag("c"))
+def _ff_family(args):
+    params = fourfold.FamilyParams(args.d, args.c)
+    lat = fourfold.build_family_lattice(params)
+    cls = fourfold.classify_family(params)
+    result = {
+        "gram": [list(r) for r in lat.gram],
+        "classification": cls.value,
+        "disc": lattice.discriminant(lat),
+    }
+    return {"d": args.d, "c": args.c}, result, [f"gram: {result['gram']}", f"classification: {cls.value}"]
+
+
+@command(
+    "fourfold",
+    "mayanskiy",
+    "mayanskiy",
+    GRAM,
+    _arg("--a", help="square-3 class, inline JSON"),
+    _arg("--long-root-variant", choices=fourfold.LONG_ROOT_VARIANTS, default="against-A0"),
+)
+def _ff_mayanskiy(args):
+    lat = _load_lattice(args)
+    a = _load_vector(args, "a")
+    report = fourfold.mayanskiy_check(lat, a, args.long_root_variant, args.enumeration_cap)
+    human = [
+        f"condition {c.index} ({c.label}): {'PASS' if c.passed else 'FAIL'} [{c.detail}]"
+        for c in report.conditions
+    ]
+    human.append(f"all conditions pass: {str(report.all_pass).lower()}")
+    inputs = {"gram": lat.to_json()["gram"], "a": list(a), "variant": args.long_root_variant}
+    return inputs, report.to_json(), human
+
+
+@command("detrep", "det", "det", MATRIX)
+def _det(args):
     m = _load_matrix(args)
-    det = detrep.det_form_matrix(m)
-    text = forms.serialize_form(det)
-    return ("detrep det", m.to_json(), text, [CLAIMS["det"]], [text])
+    text = forms.serialize_form(detrep.det_form_matrix(m))
+    return m.to_json(), text, [text]
 
 
-def _h_build(args):
+@command("detrep", "build", "build", MATRIX)
+def _build(args):
     m = _load_matrix(args)
-    cubic = detrep.build_cubic(m)
-    text = forms.serialize_form(cubic)
-    return ("detrep build", m.to_json(), text, [CLAIMS["build"]], [text])
+    text = forms.serialize_form(detrep.build_cubic(m))
+    return m.to_json(), text, [text]
 
 
-def _h_gram(args):
-    p = _field_arg(args)
-    text = _read_text(args, "cubic")
-    cubic = forms.parse_form(text, forms.AMBIENT_VARS, p)
+@command(
+    "detrep", "gram", "gram", _arg("--cubic", help="cubic form text in the six ambient variables"), FIELD
+)
+def _gram(args):
+    text, cubic = _load_form(args, "cubic", forms.AMBIENT_VARS)
     m = detrep.quadric_gram(cubic)
-    return (
-        "detrep gram",
-        {"cubic": text, "field": m.field_label()},
-        m.to_json(),
-        [CLAIMS["gram"]],
-        [json.dumps(m.to_json())],
-    )
+    return {"cubic": text, "field": m.field_label()}, m.to_json(), [json.dumps(m.to_json())]
 
 
-def _h_disccurve(args):
-    if args.matrix or (args.file and not args.cubic):
+@command(
+    "detrep", "disccurve", "disccurve", MATRIX, _arg("--cubic", help="cubic form text (alternative input)"), FIELD
+)
+def _disccurve(args):
+    if args.matrix is not None or (args.file and args.cubic is None):
         m = _load_matrix(args)
         cubic = detrep.build_cubic(m)
         inputs = m.to_json()
     else:
-        p = _field_arg(args)
-        text = _read_text(args, "cubic")
-        cubic = forms.parse_form(text, forms.AMBIENT_VARS, p)
+        text, cubic = _load_form(args, "cubic", forms.AMBIENT_VARS)
         inputs = {"cubic": text}
-    curve = detrep.discriminant_curve(cubic)
-    text_out = forms.serialize_form(curve)
-    return ("detrep disccurve", inputs, text_out, [CLAIMS["disccurve"]], [text_out])
+    text_out = forms.serialize_form(detrep.discriminant_curve(cubic))
+    return inputs, text_out, [text_out]
 
 
-def _h_smoothcurve(args):
-    p = _field_arg(args)
-    text = _read_text(args, "form")
-    form = forms.parse_form(text, forms.PLANE_VARS, p)
+def _scan_lines(res, p):
+    human = [f"smooth mod {p}: {str(res.smooth_mod_p).lower()}"]
+    if res.witness:
+        human.append(f"singular witness: {list(res.witness)}")
+    return human
+
+
+@command("detrep", "smoothcurve", "smooth", _arg("--form", help="plane form text"), FIELD, PRIME)
+def _smoothcurve(args):
+    text, form = _load_form(args, "form", forms.PLANE_VARS)
     res = detrep.smooth_plane_curve_fp(form, args.p)
-    human = [f"smooth mod {args.p}: {str(res.smooth_mod_p).lower()}"]
-    if res.witness:
-        human.append(f"singular witness: {list(res.witness)}")
-    return (
-        "detrep smoothcurve",
-        {"form": text, "p": args.p},
-        res.to_json(),
-        [CLAIMS["smooth"]],
-        human,
-    )
+    return {"form": text, "p": args.p}, res.to_json(), _scan_lines(res, args.p)
 
 
-def _h_smoothfourfold(args):
-    p = _field_arg(args)
-    text = _read_text(args, "cubic")
-    cubic = forms.parse_form(text, forms.AMBIENT_VARS, p)
+@command("detrep", "smoothfourfold", "smooth", _arg("--cubic", help="cubic form text"), FIELD, PRIME)
+def _smoothfourfold(args):
+    text, cubic = _load_form(args, "cubic", forms.AMBIENT_VARS)
     res = detrep.smooth_fourfold_fp(cubic, args.p, args.scan_prime_cap)
-    human = [f"smooth mod {args.p}: {str(res.smooth_mod_p).lower()}"]
-    if res.witness:
-        human.append(f"singular witness: {list(res.witness)}")
-    return (
-        "detrep smoothfourfold",
-        {"cubic": text, "p": args.p},
-        res.to_json(),
-        [CLAIMS["smooth"]],
-        human,
-    )
+    return {"cubic": text, "p": args.p}, res.to_json(), _scan_lines(res, args.p)
 
 
 def _check(name, passed, detail):
     return {"check": name, "passed": bool(passed), "detail": detail}
 
 
-def _h_repro_exe(args):
+def _suite(inputs, head, checks, **tail):
+    """A repro suite's (inputs, result, human): one PASS/FAIL line per check."""
+    all_pass = all(c["passed"] for c in checks)
+    human = [f"{'PASS' if c['passed'] else 'FAIL'}: {c['check']} ({c['detail']})" for c in checks]
+    human.append(f"all checks pass: {str(all_pass).lower()}")
+    return inputs, {**head, "checks": checks, "all_pass": all_pass, **tail}, human
+
+
+@command(
+    "repro",
+    "exe",
+    [
+        "the rank-3 lattice [[3,1,4],[1,3,4],[4,4,12]] has discriminant 32",
+        "its discriminant group has invariant factors (4, 8)",
+        "the twisted form on the discriminant group has Milgram residue 0 mod 8",
+        "the complement of the square-3 class is even with no short or long roots",
+        "no norm-10 class exists, so no pfaffian-shaped sublattice can be marked",
+        "even discriminant: the marked lattice is not trivially rational",
+    ],
+)
+def _repro_exe(args):
     lat = lattice.Lattice(tuple(tuple(r) for r in GRAM_DISC32))
     a = (1, 0, 0)
     checks = []
@@ -547,29 +546,22 @@ def _h_repro_exe(args):
     checks.append(
         _check("even discriminant: not trivially rational", triv is False, f"trivially rational = {triv}")
     )
-    result = {
-        "gram": GRAM_DISC32,
-        "a": list(a),
-        "checks": checks,
-        "all_pass": all(c["passed"] for c in checks),
-        "mayanskiy": {v: r.to_json() for v, r in reports.items()},
-    }
-    citations = [
-        "the rank-3 lattice [[3,1,4],[1,3,4],[4,4,12]] has discriminant 32",
-        "its discriminant group has invariant factors (4, 8)",
-        "the twisted form on the discriminant group has Milgram residue 0 mod 8",
-        "the complement of the square-3 class is even with no short or long roots",
-        "no norm-10 class exists, so no pfaffian-shaped sublattice can be marked",
-        "even discriminant: the marked lattice is not trivially rational",
-    ]
-    human = [
-        f"{'PASS' if c['passed'] else 'FAIL'}: {c['check']} ({c['detail']})" for c in checks
-    ]
-    human.append(f"all checks pass: {str(result['all_pass']).lower()}")
-    return ("repro exe", {"gram": GRAM_DISC32, "a": list(a)}, result, citations, human)
+    inputs = {"gram": GRAM_DISC32, "a": list(a)}
+    return _suite(inputs, inputs, checks, mayanskiy={v: r.to_json() for v, r in reports.items()})
 
 
-def _h_repro_p369(args):
+@command(
+    "repro",
+    "p369",
+    [
+        "the rank-3 lattice [[3,1,4],[1,3,2],[4,2,10]] has discriminant 36",
+        "a surface lattice of discriminant -9 transfers to 36 at epsilon = 2",
+        "the rank-2 form [[0,3],[3,2t]] represents zero for every t",
+        "no class in the standard basis has odd delta, so trivial rationality is not detected",
+        "the norm-10 class (0,0,1) pairs (4,2) with (h2,p): the pfaffian-shaped sublattice exists",
+    ],
+)
+def _repro_p369(args):
     lat = lattice.Lattice(tuple(tuple(r) for r in GRAM_DISC36))
     checks = []
     d = lattice.discriminant(lat)
@@ -616,30 +608,28 @@ def _h_repro_p369(args):
         variant: fourfold.mayanskiy_check(lat, (1, 0, 0), variant, args.enumeration_cap)
         for variant in fourfold.LONG_ROOT_VARIANTS
     }
-    result = {
-        "gram": GRAM_DISC36,
-        "checks": checks,
-        "all_pass": all(c["passed"] for c in checks),
-        "isotropic": iso_all,
-        "pfaffian": scan.to_json(),
-        "mayanskiy": {v: r.to_json() for v, r in reports.items()},
-    }
-    citations = [
-        "the rank-3 lattice [[3,1,4],[1,3,2],[4,2,10]] has discriminant 36",
-        "a surface lattice of discriminant -9 transfers to 36 at epsilon = 2",
-        "the rank-2 form [[0,3],[3,2t]] represents zero for every t",
-        "no class in the standard basis has odd delta, so trivial rationality is not detected",
-        "the norm-10 class (0,0,1) pairs (4,2) with (h2,p): the pfaffian-shaped sublattice exists",
-    ]
-    human = [
-        f"{'PASS' if c['passed'] else 'FAIL'}: {c['check']} ({c['detail']})" for c in checks
-    ]
-    human.append(f"all checks pass: {str(result['all_pass']).lower()}")
-    return ("repro p369", {"gram": GRAM_DISC36}, result, citations, human)
+    inputs = {"gram": GRAM_DISC36}
+    return _suite(
+        inputs,
+        inputs,
+        checks,
+        isotropic=iso_all,
+        pfaffian=scan.to_json(),
+        mayanskiy={v: r.to_json() for v, r in reports.items()},
+    )
 
 
-def _h_repro_mainteo(args):
-    sweep = []
+@command(
+    "repro",
+    "mainteo",
+    [
+        "the family [[2,d],[d,2c]] with d nonzero and 4c-d^2 < 0 is even of signature (1,1)",
+        "even d forces an even discriminant, hence never trivially rational; odd d stays undetermined",
+        "a symmetric matrix of linear/quadratic/cubic forms with plane entries produces a plane-containing cubic whose quadric matrix round-trips",
+        "the sextic discriminant curve of the quadric bundle equals the matrix determinant",
+    ],
+)
+def _repro_mainteo(args):
     ok_even = ok_sig = ok_parity = ok_class = True
     count = 0
     for d in range(-10, 11):
@@ -682,170 +672,44 @@ def _h_repro_mainteo(args):
             forms.serialize_form(det),
         )
     )
+
+    def scanned(scan):
+        return f"scanned {scan.points_scanned} points" + (
+            f", witness {list(scan.witness)}" if scan.witness else ""
+        )
+
     curve_scan = detrep.smooth_plane_curve_fp(det, 7)
     fourfold_scan = detrep.smooth_fourfold_fp(cubic, 7, args.scan_prime_cap)
-    checks.append(
-        _check(
-            "sextic curve smooth mod 7",
-            curve_scan.smooth_mod_p,
-            f"scanned {curve_scan.points_scanned} points"
-            + (f", witness {list(curve_scan.witness)}" if curve_scan.witness else ""),
-        )
+    checks.append(_check("sextic curve smooth mod 7", curve_scan.smooth_mod_p, scanned(curve_scan)))
+    checks.append(_check("cubic fourfold smooth mod 7", fourfold_scan.smooth_mod_p, scanned(fourfold_scan)))
+    return _suite(
+        {"range": "1 <= |d| <= 10, |c| <= 10"},
+        {"family_members": count},
+        checks,
+        demo_matrix=DEMO_MATRIX,
+        demo_cubic=forms.serialize_form(cubic),
+        demo_sextic=forms.serialize_form(det),
     )
-    checks.append(
-        _check(
-            "cubic fourfold smooth mod 7",
-            fourfold_scan.smooth_mod_p,
-            f"scanned {fourfold_scan.points_scanned} points"
-            + (f", witness {list(fourfold_scan.witness)}" if fourfold_scan.witness else ""),
-        )
-    )
-    result = {
-        "family_members": count,
-        "checks": checks,
-        "all_pass": all(c["passed"] for c in checks),
-        "demo_matrix": DEMO_MATRIX,
-        "demo_cubic": forms.serialize_form(cubic),
-        "demo_sextic": forms.serialize_form(det),
-    }
-    citations = [
-        "the family [[2,d],[d,2c]] with d nonzero and 4c-d^2 < 0 is even of signature (1,1)",
-        "even d forces an even discriminant, hence never trivially rational; odd d stays undetermined",
-        "a symmetric matrix of linear/quadratic/cubic forms with plane entries produces a plane-containing cubic whose quadric matrix round-trips",
-        "the sextic discriminant curve of the quadric bundle equals the matrix determinant",
-    ]
-    human = [
-        f"{'PASS' if c['passed'] else 'FAIL'}: {c['check']} ({c['detail']})" for c in checks
-    ]
-    human.append(f"all checks pass: {str(result['all_pass']).lower()}")
-    return ("repro mainteo", {"range": "1 <= |d| <= 10, |c| <= 10"}, result, citations, human)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--output", choices=("human", "json"), default="human", help="output mode"
-    )
-    common.add_argument("--file", help="read the primary input from a JSON/text file")
-    common.add_argument(
-        "--enumeration-cap",
-        type=int,
-        default=discgroup.DEFAULT_ENUMERATION_CAP,
-        help="largest discriminant group a Gauss sum will enumerate",
-    )
-    common.add_argument(
-        "--scan-prime-cap",
-        type=int,
-        default=detrep.DEFAULT_PRIME_CAP,
-        help="largest prime allowed in the fourfold smoothness scan",
-    )
-
     parser = argparse.ArgumentParser(
         prog="cubiclat",
         description="exact lattice and determinantal computations for cubic fourfolds containing a plane",
     )
     top = parser.add_subparsers(dest="group")
-
-    lat = top.add_parser("lat", help="lattice invariants").add_subparsers(dest="cmd")
-    for name, handler, extras in (
-        ("disc", _h_lat_disc, ()),
-        ("sig", _h_lat_sig, ()),
-        ("even", _h_lat_even, ()),
-        ("discgroup", _h_lat_discgroup, ()),
-        ("milgram", _h_lat_milgram, ()),
-        ("complement", _h_lat_complement, ("vectors",)),
-        ("index", _h_lat_index, ("basis",)),
-    ):
-        sub = lat.add_parser(name, parents=[common])
-        sub.add_argument("--gram", help="inline Gram matrix as JSON")
-        for extra in extras:
-            sub.add_argument(f"--{extra}", help=f"inline {extra} as JSON")
-        sub.set_defaults(handler=handler)
-
-    enum = top.add_parser("enum", help="vector enumeration").add_subparsers(dest="cmd")
-    for name, handler in (
-        ("norm", _h_enum_norm),
-        ("shortroots", _h_enum_shortroots),
-        ("longroots", _h_enum_longroots),
-        ("isotropic", _h_enum_isotropic),
-    ):
-        sub = enum.add_parser(name, parents=[common])
-        sub.add_argument("--gram", help="inline Gram matrix as JSON")
-        if name == "norm":
-            sub.add_argument("--norm", type=int, required=True, help="target norm")
-        if name != "isotropic":
-            sub.add_argument(
-                "--jsonl",
-                action="store_true",
-                help="stream one JSON vector per line instead of the envelope",
-            )
-        sub.set_defaults(handler=handler)
-
-    ff = top.add_parser("fourfold", help="marked lattice criteria").add_subparsers(dest="cmd")
-    sub = ff.add_parser("delta", parents=[common])
-    sub.add_argument("--marked", help="inline marked lattice as JSON")
-    sub.add_argument("--t", help="class to evaluate, inline JSON")
-    sub.set_defaults(handler=_h_ff_delta)
-    for name, handler in (("oddelta", _h_ff_oddelta), ("trivrat", _h_ff_trivrat), ("pfaffian", _h_ff_pfaffian)):
-        sub = ff.add_parser(name, parents=[common])
-        sub.add_argument("--marked", help="inline marked lattice as JSON")
-        sub.set_defaults(handler=handler)
-    sub = ff.add_parser("formula", parents=[common])
-    for flag in ("a", "b", "c"):
-        sub.add_argument(f"-{flag}", f"--{flag}", type=int, required=True)
-    sub.set_defaults(handler=_h_ff_formula)
-    sub = ff.add_parser("nsax", parents=[common])
-    sub.add_argument("--dns", type=int, required=True, help="surface lattice discriminant")
-    sub.add_argument("--epsilon", type=int, required=True, help="1 or 2")
-    sub.set_defaults(handler=_h_ff_nsax)
-    sub = ff.add_parser("family", parents=[common])
-    sub.add_argument("-d", "--d", type=int, required=True)
-    sub.add_argument("-c", "--c", type=int, required=True)
-    sub.set_defaults(handler=_h_ff_family)
-    sub = ff.add_parser("mayanskiy", parents=[common])
-    sub.add_argument("--gram", help="inline Gram matrix as JSON")
-    sub.add_argument("--a", help="square-3 class, inline JSON")
-    sub.add_argument(
-        "--long-root-variant",
-        choices=fourfold.LONG_ROOT_VARIANTS,
-        default="against-A0",
-    )
-    sub.set_defaults(handler=_h_ff_mayanskiy)
-
-    det = top.add_parser("detrep", help="determinantal representations").add_subparsers(dest="cmd")
-    for name, handler in (("det", _h_det), ("build", _h_build)):
-        sub = det.add_parser(name, parents=[common])
-        sub.add_argument("--matrix", help="inline form matrix as JSON")
-        sub.set_defaults(handler=handler)
-    sub = det.add_parser("gram", parents=[common])
-    sub.add_argument("--cubic", help="cubic form text in the six ambient variables")
-    sub.add_argument("--field", default="Q", help="Q or Fp:<p>")
-    sub.set_defaults(handler=_h_gram)
-    sub = det.add_parser("disccurve", parents=[common])
-    sub.add_argument("--matrix", help="inline form matrix as JSON")
-    sub.add_argument("--cubic", help="cubic form text (alternative input)")
-    sub.add_argument("--field", default="Q", help="Q or Fp:<p>")
-    sub.set_defaults(handler=_h_disccurve)
-    sub = det.add_parser("smoothcurve", parents=[common])
-    sub.add_argument("--form", help="plane form text")
-    sub.add_argument("--field", default="Q", help="Q or Fp:<p>")
-    sub.add_argument("-p", type=int, required=True, help="prime to reduce at")
-    sub.set_defaults(handler=_h_smoothcurve)
-    sub = det.add_parser("smoothfourfold", parents=[common])
-    sub.add_argument("--cubic", help="cubic form text")
-    sub.add_argument("--field", default="Q", help="Q or Fp:<p>")
-    sub.add_argument("-p", type=int, required=True, help="prime to reduce at")
-    sub.set_defaults(handler=_h_smoothfourfold)
-
-    repro = top.add_parser("repro", help="frozen verification suites").add_subparsers(dest="cmd")
-    for name, handler in (
-        ("exe", _h_repro_exe),
-        ("p369", _h_repro_p369),
-        ("mainteo", _h_repro_mainteo),
-    ):
-        sub = repro.add_parser(name, parents=[common])
-        sub.set_defaults(handler=handler)
-
+    common = argparse.ArgumentParser(add_help=False)
+    for flags, options in COMMON:
+        common.add_argument(*flags, **options)
+    groups = {
+        group: top.add_parser(group, help=text).add_subparsers(dest="cmd")
+        for group, text in GROUPS.items()
+    }
+    for group, name, citations, arguments, handler in COMMANDS:
+        sub = groups[group].add_parser(name, parents=[common])
+        for flags, options in arguments:
+            sub.add_argument(*flags, **options)
+        sub.set_defaults(handler=handler, command=f"{group} {name}", citations=citations)
     return parser
 
 
@@ -856,7 +720,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        command, inputs, result, citations, human = args.handler(args)
+        inputs, result, human = args.handler(args)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -869,10 +733,10 @@ def main(argv=None) -> int:
         return 0
     if args.output == "json":
         envelope = {
-            "command": command,
+            "command": args.command,
             "inputs": inputs,
             "result": result,
-            "citations": citations,
+            "citations": args.citations,
         }
         print(json.dumps(envelope, indent=2))
     else:

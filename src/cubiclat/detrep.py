@@ -19,11 +19,12 @@ from .errors import (
     HalfIntegerCoefficient,
     NoPlane,
     NotCubic,
+    ParseError,
     PrimeTooLarge,
     WrongSize,
     WrongVariable,
 )
-from .forms import AMBIENT_VARS, PLANE_VARS, Form, check_prime, embed_form, parse_form, serialize_form
+from .forms import AMBIENT_VARS, PLANE_VARS, Form, check_prime, embed_form, parse_field, parse_form, serialize_form
 
 DEFAULT_PRIME_CAP = 7
 
@@ -103,20 +104,21 @@ class FormMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "FormMatrix":
-        field = data["field"]
-        if field == "Q":
-            p = None
-        elif isinstance(field, str) and field.startswith("Fp:"):
-            p = int(field[3:])
-            check_prime(p)
-        else:
-            raise BadPrime(f"unknown field label {field!r}")
-        size = int(data["size"])
-        rows = data["entries"]
-        if len(rows) != size or any(len(r) != size for r in rows):
+        for key in ("size", "field", "entries"):
+            if key not in data:
+                raise ParseError(f"form matrix is missing {key!r}")
+        p = parse_field(data["field"])
+        size, rows = data["size"], data["entries"]
+        if not (
+            type(size) is int
+            and isinstance(rows, list)
+            and len(rows) == size
+            and all(isinstance(r, list) and len(r) == size for r in rows)
+        ):
             raise WrongSize("entries do not match the declared size")
-        parsed = [[parse_form(text, PLANE_VARS, p) for text in row] for row in rows]
-        return cls(parsed)
+        if not all(isinstance(text, str) for row in rows for text in row):
+            raise ParseError("form matrix entries must be form texts")
+        return cls([[parse_form(text, PLANE_VARS, p) for text in row] for row in rows])
 
 
 def _det_forms(block) -> Form:

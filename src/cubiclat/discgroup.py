@@ -23,7 +23,7 @@ from .errors import (
     InvariantViolation,
     OddLattice,
 )
-from .lattice import Lattice, bilinear, discriminant, is_even
+from .lattice import Lattice, discriminant, gram_times, is_even
 
 DEFAULT_ENUMERATION_CAP = 10**6
 GAUSS_SUM_TOLERANCE = 1e-6
@@ -166,7 +166,7 @@ class DiscriminantGroup:
     def to_json(self) -> dict:
         return {
             "orders": list(self.orders),
-            "generators": [[_frac_str(x) for x in g] for g in self.generators],
+            "generators": [[str(x) for x in g] for g in self.generators],
         }
 
 
@@ -203,16 +203,6 @@ def _mod2(x: Fraction) -> Fraction:
 
 def _mod1(x: Fraction) -> Fraction:
     return x - x.__floor__()
-
-
-def _frac_str(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _frac_parse(s: str) -> Fraction:
-    return Fraction(s)
 
 
 @dataclass(frozen=True)
@@ -294,16 +284,16 @@ class FiniteQuadraticForm:
     def to_json(self) -> dict:
         return {
             "orders": list(self.orders),
-            "q": [_frac_str(x) for x in self.q_vals],
-            "b": [[_frac_str(x) for x in row] for row in self.b_vals],
+            "q": [str(x) for x in self.q_vals],
+            "b": [[str(x) for x in row] for row in self.b_vals],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteQuadraticForm":
         return cls(
             tuple(int(d) for d in data["orders"]),
-            tuple(_frac_parse(s) for s in data["q"]),
-            tuple(tuple(_frac_parse(s) for s in row) for row in data["b"]),
+            tuple(Fraction(s) for s in data["q"]),
+            tuple(tuple(Fraction(s) for s in row) for row in data["b"]),
         )
 
 
@@ -376,6 +366,15 @@ def milgram_signature(
     return sigma
 
 
+def twist_parity_failure(lat: Lattice, a: Sequence[int]) -> int | None:
+    """First basis index i with b(a,e_i)^2 - b(e_i,e_i) odd, or None if there is none.
+
+    b(a,v)^2 - b(v,v) is linear in v mod 2, so None means it is even on all of L.
+    """
+    ga = gram_times(lat, a)
+    return next((i for i in range(lat.rank) if (ga[i] ** 2 - lat.gram[i][i]) % 2), None)
+
+
 def mayanskiy_q(lat: Lattice, a: Sequence[int]) -> FiniteQuadraticForm:
     """The twisted form alpha -> (b(alpha,a))^2 - b(alpha,alpha) mod 2Z on A_L.
 
@@ -386,17 +385,14 @@ def mayanskiy_q(lat: Lattice, a: Sequence[int]) -> FiniteQuadraticForm:
     """
     if discriminant(lat) == 0:
         raise Degenerate("twisted form needs a non-degenerate lattice")
-    n = lat.rank
-    av = tuple(a)
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        if (bilinear(lat, av, e) ** 2 - lat.gram[i][i]) % 2 != 0:
-            raise Condition5Violated(
-                f"b(a,e_{i})^2 - b(e_{i},e_{i}) is odd; the form is ill-defined on A_L"
-            )
+    i = twist_parity_failure(lat, a)
+    if i is not None:
+        raise Condition5Violated(
+            f"b(a,e_{i})^2 - b(e_{i},e_{i}) is odd; the form is ill-defined on A_L"
+        )
     dg = discriminant_group(lat)
     gens = dg.generators
-    a_frac = tuple(Fraction(x) for x in av)
+    a_frac = tuple(Fraction(x) for x in a)
     evals = []
     for g in gens:
         val = pairing_q(lat, g, a_frac)

@@ -25,6 +25,18 @@ def check_prime(p: int):
             raise BadPrime(f"{p} = {d} * {p // d} is not prime")
 
 
+def parse_field(label) -> int | None:
+    """The prime p of a field label "Fp:<p>", or None for "Q"."""
+    if label == "Q":
+        return None
+    digits = label[3:] if isinstance(label, str) and label.startswith("Fp:") else ""
+    if not digits.isdecimal():
+        raise BadPrime(f"unknown field label {label!r} (use Q or Fp:<p>)")
+    p = int(digits)
+    check_prime(p)
+    return p
+
+
 def _coerce(value, p):
     if p is None:
         return Fraction(value)
@@ -201,7 +213,7 @@ def serialize_form(form: Form) -> str:
             negative = value < 0
             mag = -value if negative else value
             if mag != 1 or not factors:
-                factors.insert(0, _coeff_str(mag))
+                factors.insert(0, str(mag))
             parts.append(("-" if negative else "+") + "*".join(factors))
         else:
             if value != 1 or not factors:
@@ -209,12 +221,6 @@ def serialize_form(form: Form) -> str:
             parts.append("+" + "*".join(factors))
     text = "".join(parts)
     return text[1:] if text.startswith("+") else text
-
-
-def _coeff_str(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def parse_form(text: str, variables, p=None) -> Form:

@@ -14,14 +14,13 @@ from typing import Sequence
 from .discgroup import (
     DEFAULT_ENUMERATION_CAP,
     DegenerateForm,
-    discriminant_group,
     mayanskiy_q,
     milgram_signature,
+    twist_parity_failure,
 )
 from .enumeration import vectors_of_norm
 from .errors import (
     BadEpsilon,
-    Condition5Violated,
     NotPositiveDefinite,
     PreconditionError,
     SignatureViolation,
@@ -105,12 +104,7 @@ def delta(m: MarkedFourfold, t: Sequence[int]) -> int:
 
 def exists_odd_delta(m: MarkedFourfold) -> bool:
     """Whether some class has odd delta; linear mod 2, so a basis check suffices."""
-    n = m.lattice.rank
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        if delta(m, e) % 2 != 0:
-            return True
-    return False
+    return any(x % 2 for x in gram_times(m.lattice, m.quadric_class))
 
 
 def is_trivially_rational_rank3(m: MarkedFourfold) -> bool:
@@ -291,12 +285,7 @@ def mayanskiy_check(
         )
     )
 
-    parity_bad = None
-    for i in range(lat.rank):
-        e = tuple(1 if j == i else 0 for j in range(lat.rank))
-        if (bilinear(lat, av, e) ** 2 - lat.gram[i][i]) % 2 != 0:
-            parity_bad = i
-            break
+    parity_bad = twist_parity_failure(lat, av)
     conditions.append(
         Condition(
             5,

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cubiclat
 from cubiclat.cli import main
 
 A_EXE_TEXT = "[[3,1,4],[1,3,4],[4,4,12]]"
@@ -236,11 +239,49 @@ def test_repro_suites_pass_and_are_deterministic(capsys):
         assert payload["citations"]
 
 
+MARKED_FLOAT_H2 = json.dumps(
+    {"gram": [[3, 1, 4], [1, 3, 2], [4, 2, 10]], "h2": [1.5, 0, 0], "p": [0, 1, 0]}
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detrep", "gram", "--cubic", "Z1^2*X0", "--field", "Fp:abc"],
+        ["detrep", "gram", "--cubic", "Z1^2*X0", "--field", "GF7"],
+        ["lat", "disc", "--gram", "[[1.5,0],[0,1]]"],
+        ["lat", "disc", "--gram", '[["a"]]'],
+        ["lat", "disc", "--gram", "[1,2]"],
+        ["lat", "complement", "--gram", "[[2,0],[0,2]]", "--vectors", "[[0.5,0]]"],
+        ["lat", "index", "--gram", "[[2,0],[0,2]]", "--basis", "5"],
+        ["fourfold", "trivrat", "--marked", MARKED_FLOAT_H2],
+        ["fourfold", "mayanskiy", "--gram", A_EXE_TEXT, "--a", "[1.5,0,0]"],
+        ["fourfold", "mayanskiy", "--gram", A_EXE_TEXT, "--a", "[true,0,0]"],
+        ["fourfold", "delta", "--marked", MARKED_369, "--t", "[1.9,0,0]"],
+        ["fourfold", "delta", "--marked", MARKED_369, "--t", '["x"]'],
+        ["detrep", "det", "--matrix", '{"size":4,"field":"Q"}'],
+        ["detrep", "disccurve", "--matrix", "{}"],
+        ["detrep", "det", "--matrix", '{"size":"1","field":"Q","entries":[["X0^3"]]}'],
+        ["detrep", "det", "--matrix", '{"size":1,"field":"Q","entries":[[7]]}'],
+        ["detrep", "det", "--matrix", '{"size":1,"field":"GF7","entries":[["X0^3"]]}'],
+    ],
+)
+def test_bad_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_console_script_entry_point():
+    # the child imports the same cubiclat as this test, installed or not
+    package_root = str(Path(cubiclat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "cubiclat", "lat", "disc", "--gram", "[[0,1],[1,0]]"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "-1"

@@ -11,6 +11,7 @@ from cubiclat.discgroup import (
     mayanskiy_q,
     milgram_signature,
     smith_normal_form,
+    twist_parity_failure,
 )
 from cubiclat.errors import (
     Condition5Violated,
@@ -189,6 +190,24 @@ def test_mayanskiy_q_parity_violation():
     lat = Lattice(((3, 1), (1, 2)))
     with pytest.raises(Condition5Violated):
         mayanskiy_q(lat, (1, 0))
+
+
+def test_twist_parity_failure_matches_unit_vector_scan():
+    rng = random.Random(5)
+    for _ in range(500):
+        n = rng.randint(1, 4)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = rng.randint(-6, 6)
+        lat = Lattice(tuple(tuple(row) for row in g))
+        a = tuple(rng.randint(-3, 3) for _ in range(n))
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        want = next(
+            (i for i, e in enumerate(units) if (bilinear(lat, a, e) ** 2 - bilinear(lat, e, e)) % 2),
+            None,
+        )
+        assert twist_parity_failure(lat, a) == want
 
 
 def test_finite_form_json_round_trip():
