@@ -1,16 +1,24 @@
 """Complete short-vector enumeration in positive-definite lattices.
 
-Fincke-Pohst with an exact rational Cholesky-style decomposition: the
-search intervals at every level are computed with integer square roots,
-never floating point, so the enumeration is provably complete.
+Fincke-Pohst on an integer-scaled decomposition.  The exact rational
+Cholesky-style decomposition is computed once and scaled so that
+L*Q(x) = sum_i W_i*(d_i*x_i + S_i)^2 with integers W_i, d_i and
+S_i = sum_{j>i} N_ij*x_j.  The walk carries L times the norm still to place
+as an int: every search interval comes from an integer square root, never
+floating point, so the enumeration is provably complete, and level 0 solves
+W_0*t^2 = rest outright.  The walk keeps to the half space whose last
+nonzero coordinate is positive, one vector of each pair {v, -v}, and visits
+at most MAX_NODES nodes: beyond that, EnumerationTooLarge.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Sequence
+from math import gcd, isqrt, lcm
 
-from .errors import Degenerate, NotPositiveDefinite, OddLattice, WrongRank
-from .lattice import Lattice, Vector, discriminant, gram_times, is_even
+from .errors import Degenerate, EnumerationTooLarge, NotPositiveDefinite, OddLattice, WrongRank
+from .lattice import Lattice, Vector, _ints, discriminant, gram_times, is_even
+
+# nodes one vectors_of_norm call may visit; E8+E8 at norm 4 visits 73,071
+MAX_NODES = 10**6
 
 
 def _decompose(lat: Lattice) -> list[list[Fraction]]:
@@ -29,57 +37,68 @@ def _decompose(lat: Lattice) -> list[list[Fraction]]:
     return q
 
 
-def _interval(qii: Fraction, s: Fraction, t: Fraction) -> tuple[int, int]:
-    # all integers m with qii*(m+s)^2 <= t, as [lo, hi]; empty when lo > hi
-    if t < 0:
-        return 1, 0
-    r = t / qii
-    sa, sb = s.numerator, s.denominator
-    rp = r * sb * sb
-    # largest integer c >= 0 with c^2 <= rp, via floor(sqrt(num*den)) // den
-    big = isqrt(rp.numerator * rp.denominator) // rp.denominator
-    hi = (big - sa) // sb
-    lo = -((big + sa) // sb)
-    return lo, hi
+def _scaled(lat: Lattice) -> tuple[int, list[tuple[int, int, list[int]]]]:
+    # L and the rows (W_i, d_i, N_i) of L*Q(x) = sum_i W_i*(d_i*x_i + S_i)^2
+    q = _decompose(lat)
+    n = lat.rank
+    dens = [lcm(*(q[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    weights = [q[i][i] / (d * d) for i, d in enumerate(dens)]
+    scale = lcm(*(w.denominator for w in weights))
+    return scale, [
+        ((w * scale).numerator, d, [(q[i][j] * d).numerator if j > i else 0 for j in range(n)])
+        for i, (w, d) in enumerate(zip(weights, dens))
+    ]
+
+
+def _walk(level, rest, s, free, x, rows, found, budget) -> int:
+    # Place x[level], ..., x[0] below the fixed x[level+1:], append each hit
+    # to found and return the unspent node budget.  rest is L times the norm
+    # still to place, s = S_level, and free says x[level+1:] is all zero, so
+    # that x[level] must be >= 0 (and > 0 at level 0).
+    w, d, _ = rows[level]
+    if level == 0:
+        r, over = divmod(rest, w)
+        t = isqrt(r)
+        if over or t * t != r:
+            return budget
+        for t in (t, -t) if t and not free else (t,):
+            m, off = divmod(t - s, d)
+            if not off:
+                x[0] = m
+                found.append(tuple(x))
+        return budget
+    b = isqrt(rest // w)
+    lo, hi = -((b + s) // d), (b - s) // d
+    if free and lo < 0:
+        lo = 0
+    budget -= hi - lo + 1
+    if budget < 0:
+        raise EnumerationTooLarge(f"the walk needs more than MAX_NODES = {MAX_NODES} nodes")
+    child = rows[level - 1][2]
+    base = sum(child[j] * x[j] for j in range(level + 1, len(x)))
+    step = child[level]
+    for m in range(lo, hi + 1):
+        x[level] = m
+        t = d * m + s
+        budget = _walk(level - 1, rest - w * t * t, base + step * m, not m and free, x, rows, found, budget)
+    return budget
 
 
 def vectors_of_norm(lat: Lattice, n: int) -> list[Vector]:
     """All nonzero v with b(v,v) = n, one representative per {v,-v} pair.
 
     Representatives have positive first nonzero coordinate and the list is
-    sorted lexicographically.  Requires a positive definite lattice.
+    sorted lexicographically.  Requires a positive definite lattice.  A walk
+    that would visit more than MAX_NODES nodes raises EnumerationTooLarge.
     """
-    q = _decompose(lat)
-    if n <= 0:
+    (n,) = _ints((n,), "norm")
+    scale, rows = _scaled(lat)
+    if n <= 0 or not rows:
         # positive definite: only the zero vector sits at norm <= 0
         return []
-    rank = lat.rank
     found: list[Vector] = []
-    x = [0] * rank
-    target = Fraction(n)
-
-    def descend(level: int, remaining: Fraction):
-        if level < 0:
-            if remaining == 0 and any(x):
-                v = tuple(x)
-                lead = next(c for c in v if c != 0)
-                if lead > 0:
-                    found.append(v)
-            return
-        s = Fraction(0)
-        for j in range(level + 1, rank):
-            if x[j]:
-                s += q[level][j] * x[j]
-        lo, hi = _interval(q[level][level], s, remaining)
-        for m in range(lo, hi + 1):
-            x[level] = m
-            used = q[level][level] * (m + s) ** 2
-            descend(level - 1, remaining - used)
-        x[level] = 0
-
-    descend(rank - 1, target)
-    found.sort()
-    return found
+    _walk(len(rows) - 1, scale * n, 0, True, [0] * len(rows), rows, found, MAX_NODES)
+    return sorted(v if next(c for c in v if c) > 0 else tuple(-c for c in v) for v in found)
 
 
 def short_roots(lat: Lattice) -> list[Vector]:

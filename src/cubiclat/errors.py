@@ -68,6 +68,10 @@ class WrongRank(PreconditionError):
     pass
 
 
+class EnumerationTooLarge(PreconditionError):
+    """A short-vector walk would visit more nodes than its budget."""
+
+
 # fourfold layer
 
 class BadEpsilon(PreconditionError):

@@ -30,6 +30,7 @@ from .errors import (
 from .lattice import (
     Lattice,
     Vector,
+    _ints,
     bilinear,
     discriminant,
     gram_times,
@@ -63,8 +64,7 @@ class MarkedFourfold:
     p: Vector
 
     def __post_init__(self):
-        h2 = tuple(operator.index(x) for x in self.h2)
-        p = tuple(operator.index(x) for x in self.p)
+        h2, p = _ints(self.h2, "h2"), _ints(self.p, "p")
         object.__setattr__(self, "h2", h2)
         object.__setattr__(self, "p", p)
         _require_positive_definite(self.lattice, "a marked lattice")
@@ -227,7 +227,7 @@ def mayanskiy_check(
     if lat.rank < 2:
         raise WrongRank("need rank >= 2")
     _require_positive_definite(lat, "the ambient lattice")
-    av = tuple(operator.index(x) for x in a)
+    av = _ints(a, "a")
     conditions = []
 
     norm_a = bilinear(lat, av, av)

@@ -17,6 +17,7 @@ from .errors import (
     InvariantViolation,
     NotFiniteIndex,
     NotSymmetric,
+    ParseError,
 )
 
 Vector = tuple[int, ...]
@@ -35,9 +36,7 @@ class Lattice:
     gram: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(
-            tuple(operator.index(x) for x in row) for row in self.gram
-        )
+        rows = tuple(_ints(row, "gram row") for row in self.gram)
         n = len(rows)
         for row in rows:
             if len(row) != n:
@@ -62,12 +61,20 @@ class Lattice:
         return cls(tuple(tuple(row) for row in data["gram"]))
 
 
+def _ints(v: Sequence[int], what: str = "vector") -> Vector:
+    try:
+        return tuple(map(operator.index, v))
+    except TypeError:
+        raise ParseError(f"{what} must hold integers, got {v!r}") from None
+
+
 def _check_vector(lat: Lattice, v: Sequence[int]) -> Vector:
+    v = _ints(v)
     if len(v) != lat.rank:
         raise DimensionMismatch(
             f"vector of length {len(v)} against a rank-{lat.rank} lattice"
         )
-    return tuple(operator.index(x) for x in v)
+    return v
 
 
 def gram_times(lat: Lattice, v: Sequence[int]) -> Vector:
@@ -285,7 +292,7 @@ def hyperbolic_u() -> Lattice:
 
 
 def rank_one(n: int) -> Lattice:
-    return Lattice(((operator.index(n),),))
+    return Lattice(((n,),))
 
 
 # E8 as its Cartan matrix, Bourbaki numbering: the chain is

@@ -79,6 +79,52 @@ def box_vectors_of_norm(lat: Lattice, n: int):
     return sorted(found)
 
 
+def fraction_vectors_of_norm(lat: Lattice, n: int):
+    """Fincke-Pohst on an exact Fraction decomposition, walking v and -v.
+
+    The library's enumeration before it moved to integer arithmetic; fast
+    enough for rank 4-8 differential checks where the box search is not.
+    """
+    if n <= 0:
+        return []
+    rank = lat.rank
+    q = [[Fraction(x) for x in row] for row in lat.gram]
+    for i in range(rank):
+        assert q[i][i] > 0, "form is not positive definite"
+        for j in range(i + 1, rank):
+            q[j][i] = q[i][j]
+            q[i][j] = q[i][j] / q[i][i]
+        for k in range(i + 1, rank):
+            for l in range(k, rank):
+                q[k][l] = q[k][l] - q[k][i] * q[i][l]
+
+    def interval(qii, s, t):
+        # all integers m with qii*(m+s)^2 <= t, as [lo, hi]
+        if t < 0:
+            return 1, 0
+        rp = t / qii * s.denominator**2
+        big = math.isqrt(rp.numerator * rp.denominator) // rp.denominator
+        return -((big + s.numerator) // s.denominator), (big - s.numerator) // s.denominator
+
+    found = []
+    x = [0] * rank
+
+    def descend(level, remaining):
+        if level < 0:
+            if remaining == 0 and any(x) and next(c for c in x if c) > 0:
+                found.append(tuple(x))
+            return
+        s = sum((q[level][j] * x[j] for j in range(level + 1, rank)), Fraction(0))
+        lo, hi = interval(q[level][level], s, remaining)
+        for m in range(lo, hi + 1):
+            x[level] = m
+            descend(level - 1, remaining - q[level][level] * (m + s) ** 2)
+        x[level] = 0
+
+    descend(rank - 1, Fraction(n))
+    return sorted(found)
+
+
 def rank2_isometry(g1, g2, box: int = 5):
     """Search integer P with det +-1 and P^T g1 P == g2.  Returns P or None."""
     for p00, p01, p10, p11 in itertools.product(range(-box, box + 1), repeat=4):

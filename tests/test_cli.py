@@ -115,6 +115,10 @@ def test_enum_norm_and_jsonl(capsys):
     assert code == 0
     lines = [json.loads(line) for line in out.splitlines()]
     assert lines == [[0, 1], [1, -1], [1, 0]]
+    # a large norm on a rank-2 form stays within the node budget
+    code, out, _ = run(capsys, "enum", "norm", "--gram", "[[1,0],[0,1]]", "--norm", "100000000")
+    assert code == 0
+    assert out.splitlines()[0] == "18 vector(s)"
 
 
 def test_enum_isotropic(capsys):
@@ -264,6 +268,7 @@ MARKED_FLOAT_H2 = json.dumps(
         ["detrep", "det", "--matrix", '{"size":"1","field":"Q","entries":[["X0^3"]]}'],
         ["detrep", "det", "--matrix", '{"size":1,"field":"Q","entries":[[7]]}'],
         ["detrep", "det", "--matrix", '{"size":1,"field":"GF7","entries":[["X0^3"]]}'],
+        ["enum", "norm", "--gram", "[[1,0,0],[0,1,0],[0,0,1]]", "--norm", "1000000000000"],
     ],
 )
 def test_bad_input_exits_2(capsys, argv):

@@ -8,7 +8,10 @@ from cubiclat.errors import (
     InvariantViolation,
     NotFiniteIndex,
     NotSymmetric,
+    ParseError,
 )
+from cubiclat.enumeration import vectors_of_norm
+from cubiclat.fourfold import MarkedFourfold
 from cubiclat.lattice import (
     Lattice,
     Signature,
@@ -17,6 +20,7 @@ from cubiclat.lattice import (
     direct_sum,
     discriminant,
     e8,
+    gram_times,
     hyperbolic_u,
     is_even,
     k3_lattice,
@@ -65,8 +69,25 @@ def test_construction_rejects_bad_gram():
         Lattice(((0, 1), (2, 0)))
     with pytest.raises(NotSymmetric):
         Lattice(((0, 1, 0), (1, 0, 0)))
-    with pytest.raises(TypeError):
+    with pytest.raises(ParseError):
         Lattice(((0.5, 1), (1, 0)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Lattice(((1.5, 0), (0, 1))),
+        lambda: Lattice((1, 2)),
+        lambda: Lattice((("a",),)),
+        lambda: gram_times(Lattice(((2, 0), (0, 2))), (0.5, 0)),
+        lambda: MarkedFourfold(A_EXE, (1.5, 0, 0), (0, 1, 0)),
+        lambda: vectors_of_norm(A_EXE, 2.5),
+    ],
+    ids=["float-entry", "flat-gram", "text-entry", "float-vector", "float-marking", "float-norm"],
+)
+def test_non_integer_input_is_parse_error(call):
+    with pytest.raises(ParseError):
+        call()
 
 
 def test_bilinear_basics():
