@@ -13,6 +13,7 @@ from .errors import (
     Degenerate,
     DegenerateForm,
     DimensionMismatch,
+    EnumerationTooLarge,
     GroupTooLarge,
     HalfIntegerCoefficient,
     InternalError,

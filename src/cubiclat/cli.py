@@ -20,6 +20,7 @@ import sys
 
 from . import detrep, discgroup, enumeration, forms, fourfold, lattice
 from .errors import CubiclatError, ParseError, PreconditionError
+from .lattice import _json_int_rows, _json_ints
 
 CLAIMS = {
     "disc": "the discriminant is the exact integer determinant of the Gram matrix",
@@ -125,46 +126,18 @@ def _json_arg(args, flag: str, what: str):
     return _parse_json(raw, what)
 
 
-def _ints(data, what: str) -> tuple:
-    """A JSON array of integers as a tuple; floats, booleans and strings are refused."""
-    if not isinstance(data, list):
-        _fail(f"{what} must be a JSON array")
-    if not all(type(x) is int for x in data):
-        _fail(f"{what} must hold JSON integers only")
-    return tuple(data)
-
-
-def _int_rows(data, what: str, noun: str) -> tuple:
-    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
-        _fail(f"{what} must be a JSON array of {noun}")
-    return tuple(_ints(row, what) for row in data)
-
-
 def _load_lattice(args) -> lattice.Lattice:
     data = _read_input(args, "gram")
-    if isinstance(data, dict):
-        if "gram" not in data:
-            _fail("expected a top-level 'gram' key")
-        data = data["gram"]
-    return lattice.Lattice(_int_rows(data, "gram", "rows"))
+    # bare rows stand for {"gram": rows}
+    return lattice.Lattice.from_json(data if isinstance(data, dict) else {"gram": data})
 
 
 def _load_marked(args) -> fourfold.MarkedFourfold:
-    data = _read_input(args, "marked")
-    if not isinstance(data, dict):
-        _fail("marked input must be an object with gram, h2, p")
-    for key in ("gram", "h2", "p"):
-        if key not in data:
-            _fail(f"marked input is missing {key!r}")
-    return fourfold.MarkedFourfold(
-        lattice.Lattice(_int_rows(data["gram"], "gram", "rows")),
-        _ints(data["h2"], "h2"),
-        _ints(data["p"], "p"),
-    )
+    return fourfold.MarkedFourfold.from_json(_read_input(args, "marked"))
 
 
 def _load_vector(args, flag: str) -> tuple:
-    return _ints(_json_arg(args, flag, "vector"), f"--{flag}")
+    return _json_ints(_json_arg(args, flag, "vector"), f"--{flag}")
 
 
 def _load_matrix(args) -> detrep.FormMatrix:
@@ -209,18 +182,6 @@ def _arg(*flags, **options):
 COMMON = (
     _arg("--output", choices=("human", "json"), default="human", help="output mode"),
     _arg("--file", help="read the primary input from a JSON/text file"),
-    _arg(
-        "--enumeration-cap",
-        type=int,
-        default=discgroup.DEFAULT_ENUMERATION_CAP,
-        help="largest discriminant group a Gauss sum will enumerate",
-    ),
-    _arg(
-        "--scan-prime-cap",
-        type=int,
-        default=detrep.DEFAULT_PRIME_CAP,
-        help="largest prime allowed in the fourfold smoothness scan",
-    ),
 )
 GRAM = _arg("--gram", help="inline Gram matrix as JSON")
 MARKED = _arg("--marked", help="inline marked lattice as JSON")
@@ -268,7 +229,7 @@ def _lat_discgroup(args):
 def _lat_milgram(args):
     lat = _load_lattice(args)
     form = discgroup.discriminant_form(lat)
-    sigma = discgroup.milgram_signature(form, args.enumeration_cap)
+    sigma = discgroup.milgram_signature(form)
     result = {"residue": sigma, "orders": list(form.orders)}
     return lat.to_json(), result, [f"Milgram residue: {sigma} (group orders {list(form.orders)})"]
 
@@ -276,7 +237,7 @@ def _lat_milgram(args):
 @command("lat", "complement", "complement", GRAM, _arg("--vectors", help="inline vectors as JSON"))
 def _lat_complement(args):
     lat = _load_lattice(args)
-    vectors = _int_rows(_json_arg(args, "vectors", "vectors"), "--vectors", "vectors")
+    vectors = _json_int_rows(_json_arg(args, "vectors", "vectors"), "--vectors", "vectors")
     basis, comp = lattice.orthogonal_complement(lat, vectors)
     result = {"basis": [list(v) for v in basis], "gram": [list(r) for r in comp.gram]}
     inputs = {"gram": lat.to_json()["gram"], "vectors": vectors}
@@ -286,7 +247,7 @@ def _lat_complement(args):
 @command("lat", "index", "index", GRAM, _arg("--basis", help="inline basis as JSON"))
 def _lat_index(args):
     lat = _load_lattice(args)
-    basis = _int_rows(_json_arg(args, "basis", "basis"), "--basis", "vectors")
+    basis = _json_int_rows(_json_arg(args, "basis", "basis"), "--basis", "vectors")
     idx = lattice.sublattice_index(lat, basis)
     return {"gram": lat.to_json()["gram"], "basis": basis}, idx, [str(idx)]
 
@@ -406,7 +367,7 @@ def _ff_family(args):
 def _ff_mayanskiy(args):
     lat = _load_lattice(args)
     a = _load_vector(args, "a")
-    report = fourfold.mayanskiy_check(lat, a, args.long_root_variant, args.enumeration_cap)
+    report = fourfold.mayanskiy_check(lat, a, args.long_root_variant)
     human = [
         f"condition {c.index} ({c.label}): {'PASS' if c.passed else 'FAIL'} [{c.detail}]"
         for c in report.conditions
@@ -471,7 +432,7 @@ def _smoothcurve(args):
 @command("detrep", "smoothfourfold", "smooth", _arg("--cubic", help="cubic form text"), FIELD, PRIME)
 def _smoothfourfold(args):
     text, cubic = _load_form(args, "cubic", forms.AMBIENT_VARS)
-    res = detrep.smooth_fourfold_fp(cubic, args.p, args.scan_prime_cap)
+    res = detrep.smooth_fourfold_fp(cubic, args.p)
     return {"cubic": text, "p": args.p}, res.to_json(), _scan_lines(res, args.p)
 
 
@@ -523,7 +484,7 @@ def _repro_exe(args):
     )
     reports = {}
     for variant in fourfold.LONG_ROOT_VARIANTS:
-        rep = fourfold.mayanskiy_check(lat, a, variant, args.enumeration_cap)
+        rep = fourfold.mayanskiy_check(lat, a, variant)
         reports[variant] = rep
         checks.append(
             _check(
@@ -535,7 +496,7 @@ def _repro_exe(args):
             )
         )
     form = discgroup.mayanskiy_q(lat, a)
-    sigma = discgroup.milgram_signature(form, args.enumeration_cap)
+    sigma = discgroup.milgram_signature(form)
     checks.append(_check("Milgram residue is 0", sigma == 0, f"residue {sigma}"))
     ten = enumeration.vectors_of_norm(lat, 10)
     checks.append(
@@ -605,7 +566,7 @@ def _repro_p369(args):
         )
     )
     reports = {
-        variant: fourfold.mayanskiy_check(lat, (1, 0, 0), variant, args.enumeration_cap)
+        variant: fourfold.mayanskiy_check(lat, (1, 0, 0), variant)
         for variant in fourfold.LONG_ROOT_VARIANTS
     }
     inputs = {"gram": GRAM_DISC36}
@@ -679,7 +640,7 @@ def _repro_mainteo(args):
         )
 
     curve_scan = detrep.smooth_plane_curve_fp(det, 7)
-    fourfold_scan = detrep.smooth_fourfold_fp(cubic, 7, args.scan_prime_cap)
+    fourfold_scan = detrep.smooth_fourfold_fp(cubic, 7)
     checks.append(_check("sextic curve smooth mod 7", curve_scan.smooth_mod_p, scanned(curve_scan)))
     checks.append(_check("cubic fourfold smooth mod 7", fourfold_scan.smooth_mod_p, scanned(fourfold_scan)))
     return _suite(

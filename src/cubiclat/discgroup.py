@@ -9,7 +9,6 @@ exponential at the very end of the Gauss sum.
 import cmath
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -19,13 +18,16 @@ from .errors import (
     Condition5Violated,
     Degenerate,
     DegenerateForm,
+    DimensionMismatch,
     GroupTooLarge,
     InvariantViolation,
     OddLattice,
+    ParseError,
 )
-from .lattice import Lattice, discriminant, gram_times, is_even
+from .lattice import Lattice, _ints, _json_ints, discriminant, gram_times, is_even
 
-DEFAULT_ENUMERATION_CAP = 10**6
+# elements one Gauss sum may enumerate; (Z/1000)^2 takes about 1.3 s
+MAX_GROUP_ORDER = 10**6
 GAUSS_SUM_TOLERANCE = 1e-6
 
 
@@ -48,12 +50,12 @@ def _identity(n: int) -> list[list[int]]:
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
     """Smith normal form of an integer matrix, with both transforms."""
-    a = [[operator.index(x) for x in row] for row in matrix]
+    a = [list(_ints(row, "matrix row")) for row in matrix]
     m = len(a)
     n = len(a[0]) if m else 0
     for row in a:
         if len(row) != n:
-            raise ValueError("ragged matrix")
+            raise DimensionMismatch("ragged matrix")
     u = _identity(m)
     v = _identity(n)
 
@@ -290,11 +292,29 @@ class FiniteQuadraticForm:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteQuadraticForm":
-        return cls(
-            tuple(int(d) for d in data["orders"]),
-            tuple(Fraction(s) for s in data["q"]),
-            tuple(tuple(Fraction(s) for s in row) for row in data["b"]),
-        )
+        """The form to_json wrote; tables it does not describe raise ParseError."""
+        if not isinstance(data, dict) or not all(key in data for key in ("orders", "q", "b")):
+            raise ParseError("a finite quadratic form is an object with orders, q and b")
+        if not isinstance(data["b"], list):
+            raise ParseError("b must be a JSON array of rows")
+        try:
+            return cls(
+                _json_ints(data["orders"], "orders"),
+                _json_fractions(data["q"], "q"),
+                tuple(_json_fractions(row, "b") for row in data["b"]),
+            )
+        except InvariantViolation as exc:
+            raise ParseError(f"not a finite quadratic form: {exc}") from None
+
+
+def _json_fractions(data, what: str) -> tuple[Fraction, ...]:
+    # the fraction texts of to_json, such as "3/4"
+    if not isinstance(data, list) or not all(isinstance(s, str) for s in data):
+        raise ParseError(f"{what} must be a JSON array of fraction texts")
+    try:
+        return tuple(Fraction(s) for s in data)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{what} holds a text that is not a fraction: {data!r}") from None
 
 
 def discriminant_form(lat: Lattice) -> FiniteQuadraticForm:
@@ -310,20 +330,19 @@ def discriminant_form(lat: Lattice) -> FiniteQuadraticForm:
     return FiniteQuadraticForm(dg.orders, q, b)
 
 
-def milgram_signature(
-    form: FiniteQuadraticForm, enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-) -> int:
+def milgram_signature(form: FiniteQuadraticForm) -> int:
     """Residue sigma mod 8 with sum over A of exp(pi*i*q(x)) = sqrt(|A|) * e^(2*pi*i*sigma/8).
 
     Phases are exact rationals mod 2; they are bucketed over a common
     denominator and only the final complex exponential is floating point.
     The sum must land within GAUSS_SUM_TOLERANCE * sqrt(|A|) of an
     eighth-root ray, otherwise the pairing is degenerate and there is no
-    residue to report.
+    residue to report.  A group of more than MAX_GROUP_ORDER elements
+    raises GroupTooLarge.
     """
     order = form.order
-    if order > enumeration_cap:
-        raise GroupTooLarge(f"|A| = {order} exceeds cap {enumeration_cap}")
+    if order > MAX_GROUP_ORDER:
+        raise GroupTooLarge(f"|A| = {order} exceeds the cap MAX_GROUP_ORDER = {MAX_GROUP_ORDER}")
     k = len(form.orders)
     if k == 0:
         return 0

@@ -11,17 +11,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .discgroup import (
-    DEFAULT_ENUMERATION_CAP,
-    DegenerateForm,
-    mayanskiy_q,
-    milgram_signature,
-    twist_parity_failure,
-)
+from .discgroup import DegenerateForm, mayanskiy_q, milgram_signature, twist_parity_failure
 from .enumeration import vectors_of_norm
 from .errors import (
     BadEpsilon,
     NotPositiveDefinite,
+    ParseError,
     PreconditionError,
     SignatureViolation,
     WrongRank,
@@ -31,6 +26,7 @@ from .lattice import (
     Lattice,
     Vector,
     _ints,
+    _json_ints,
     bilinear,
     discriminant,
     gram_times,
@@ -90,11 +86,13 @@ class MarkedFourfold:
 
     @classmethod
     def from_json(cls, data: dict) -> "MarkedFourfold":
-        return cls(
-            Lattice(tuple(tuple(row) for row in data["gram"])),
-            tuple(data["h2"]),
-            tuple(data["p"]),
-        )
+        """The marked lattice of {"gram": rows, "h2": class, "p": class}."""
+        if not isinstance(data, dict):
+            raise ParseError("marked input must be an object with gram, h2, p")
+        for key in ("gram", "h2", "p"):
+            if key not in data:
+                raise ParseError(f"marked input is missing {key!r}")
+        return cls(Lattice.from_json(data), _json_ints(data["h2"], "h2"), _json_ints(data["p"], "p"))
 
 
 def delta(m: MarkedFourfold, t: Sequence[int]) -> int:
@@ -205,7 +203,6 @@ def mayanskiy_check(
     lat: Lattice,
     a: Sequence[int],
     long_root_variant: str = "against-A0",
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> ConditionReport:
     """Report on the six realizability conditions for (lat, a).
 
@@ -309,7 +306,7 @@ def mayanskiy_check(
     else:
         try:
             form = mayanskiy_q(lat, av)
-            sigma = milgram_signature(form, enumeration_cap)
+            sigma = milgram_signature(form)
             conditions.append(
                 Condition(
                     6,

@@ -58,7 +58,10 @@ class Lattice:
 
     @classmethod
     def from_json(cls, data: dict) -> "Lattice":
-        return cls(tuple(tuple(row) for row in data["gram"]))
+        """The lattice of {"gram": rows}, rows being JSON arrays of integers."""
+        if not isinstance(data, dict) or "gram" not in data:
+            raise ParseError("expected a top-level 'gram' key")
+        return cls(_json_int_rows(data["gram"], "gram", "rows"))
 
 
 def _ints(v: Sequence[int], what: str = "vector") -> Vector:
@@ -66,6 +69,26 @@ def _ints(v: Sequence[int], what: str = "vector") -> Vector:
         return tuple(map(operator.index, v))
     except TypeError:
         raise ParseError(f"{what} must hold integers, got {v!r}") from None
+
+
+# the JSON loaders are stricter than _ints: they take only arrays, and
+# refuse booleans, which _ints reads as 0 and 1
+
+
+def _json_ints(data, what: str) -> Vector:
+    """A JSON array of integers as a tuple."""
+    if not isinstance(data, list):
+        raise ParseError(f"{what} must be a JSON array")
+    if not all(type(x) is int for x in data):
+        raise ParseError(f"{what} must hold JSON integers only")
+    return tuple(data)
+
+
+def _json_int_rows(data, what: str, noun: str) -> tuple[Vector, ...]:
+    """A JSON array of arrays of integers as a tuple of rows."""
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise ParseError(f"{what} must be a JSON array of {noun}")
+    return tuple(_json_ints(row, what) for row in data)
 
 
 def _check_vector(lat: Lattice, v: Sequence[int]) -> Vector:

@@ -258,6 +258,28 @@ def random_plane_form(rng: random.Random, degree: int, p=None, lo: int = -3, hi:
     return Form(PLANE_VARS, degree, coeffs, p)
 
 
+def scan_direct(f: Form, p: int):
+    """(witness, points scanned) of a smoothness scan, by Form.evaluate.
+
+    The points of P^(n-1)(F_p) are the p-tuples whose first nonzero
+    coordinate is 1, ordered by that coordinate's position, then
+    lexicographically; the witness is the first at which f and all its
+    partials vanish mod p, or None.
+    """
+    n = len(f.variables)
+    g = Form(f.variables, f.degree, f.coeffs, p)
+    forms = [g] + [g.derivative(i) for i in range(n)]
+    lead = lambda v: next(i for i, x in enumerate(v) if x)
+    points = sorted(
+        (v for v in itertools.product(range(p), repeat=n) if any(v) and v[lead(v)] == 1),
+        key=lambda v: (lead(v), v),
+    )
+    for count, point in enumerate(points, 1):
+        if all(h.evaluate(point) == 0 for h in forms):
+            return point, count
+    return None, len(points)
+
+
 def random_form_matrix(rng: random.Random, p=None):
     from cubiclat.detrep import FormMatrix
 

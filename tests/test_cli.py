@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cubiclat
 from cubiclat.cli import main
@@ -269,6 +272,7 @@ MARKED_FLOAT_H2 = json.dumps(
         ["detrep", "det", "--matrix", '{"size":1,"field":"Q","entries":[[7]]}'],
         ["detrep", "det", "--matrix", '{"size":1,"field":"GF7","entries":[["X0^3"]]}'],
         ["enum", "norm", "--gram", "[[1,0,0],[0,1,0],[0,0,1]]", "--norm", "1000000000000"],
+        ["detrep", "det", "--matrix", json.dumps({"size": 8, "field": "Q", "entries": [["0"] * 8] * 8})],
     ],
 )
 def test_bad_input_exits_2(capsys, argv):
@@ -276,6 +280,77 @@ def test_bad_input_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+# JSON arguments for the fuzz test: well-formed symmetric Gram matrices of
+# rank <= 3 with |entries| <= 20 (so every Gauss sum stays small), integer
+# vectors, and arbitrary JSON of mixed types and shapes in their place
+INT = st.integers(-20, 20)
+JUNK = st.recursive(
+    st.one_of(INT, st.floats(-20, 20), st.booleans(), st.text(max_size=3), st.none()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.sampled_from(["gram", "h2", "p", "x"]), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def grams(draw):
+    n = draw(st.integers(1, 3))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(INT)
+    return g
+
+
+# the two frozen lattices and a marking reach the deeper code paths
+GRAM = st.one_of(
+    grams(),
+    st.sampled_from([json.loads(A_EXE_TEXT), json.loads(MARKED_369)["gram"]]),
+    grams().map(lambda g: {"gram": g}),
+    JUNK,
+)
+VECTOR = st.one_of(st.lists(INT, min_size=1, max_size=3), st.just([1, 0, 0]), JUNK)
+VECTORS = st.one_of(st.lists(st.lists(INT, min_size=1, max_size=3), max_size=3), JUNK)
+MARKED = st.one_of(
+    st.fixed_dictionaries({"gram": GRAM, "h2": VECTOR, "p": VECTOR}), st.just(json.loads(MARKED_369)), JUNK
+)
+
+
+def _flag(name, values):
+    return values.map(lambda v: [f"--{name}={json.dumps(v)}"])
+
+
+LAT = ("disc", "sig", "even", "discgroup", "milgram")
+ARGV = st.one_of(
+    st.tuples(st.just(["lat"]), st.sampled_from(LAT).map(lambda c: [c]), _flag("gram", GRAM)),
+    st.tuples(st.just(["lat", "complement"]), _flag("gram", GRAM), _flag("vectors", VECTORS)),
+    st.tuples(st.just(["lat", "index"]), _flag("gram", GRAM), _flag("basis", VECTORS)),
+    st.tuples(st.just(["enum", "norm"]), _flag("gram", GRAM), _flag("norm", st.integers(-5, 40))),
+    st.tuples(st.just(["fourfold", "mayanskiy"]), _flag("gram", GRAM), _flag("a", VECTOR)),
+    st.tuples(st.just(["fourfold", "pfaffian"]), _flag("marked", MARKED)),
+    st.tuples(st.just(["fourfold", "delta"]), _flag("marked", MARKED), _flag("t", VECTOR)),
+    st.tuples(
+        st.just(["detrep", "smoothcurve"]),
+        st.text("X012^*+-/ 56789", max_size=12).map(lambda t: [f"--form={t}"]),
+        st.one_of(st.integers(-2, 12), st.sampled_from([317, 2**31 - 1])).map(lambda p: [f"-p={p}"]),
+    ),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(ARGV)
+def test_cli_fuzz_exits_0_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_console_script_entry_point():

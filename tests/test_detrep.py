@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from cubiclat import detrep
 from cubiclat.detrep import (
     FormMatrix,
+    ScanResult,
     build_cubic,
     contains_plane,
     det_form_matrix,
@@ -98,6 +100,15 @@ def test_determinant_matches_permutation_expansion():
         for _ in range(6):
             m = oracles.random_form_matrix(rng, p)
             assert det_form_matrix(m) == oracles.permutation_det(m.entries)
+
+
+def test_determinant_size_budget(monkeypatch):
+    zeros = FormMatrix([[Form.zero(PLANE_VARS, 1)] * 8 for _ in range(8)])
+    with pytest.raises(WrongSize):
+        det_form_matrix(zeros)
+    monkeypatch.setattr(detrep, "MAX_DET_SIZE", 3)
+    with pytest.raises(WrongSize):
+        det_form_matrix(DIAG)
 
 
 def test_determinant_degree_label():
@@ -197,13 +208,43 @@ def test_fermat_cubic_fourfold_smooth_mod_7():
     assert res.points_scanned == 19608
 
 
-def test_fourfold_scan_cap():
+def test_fourfold_scan_cap(monkeypatch):
     cubic = parse_form("Z1^3+Z2^3+Z3^3+X0^3+X1^3+X2^3", AMBIENT_VARS)
     with pytest.raises(PrimeTooLarge):
         smooth_fourfold_fp(cubic, 11)
-    res = smooth_fourfold_fp(cubic, 3, prime_cap=3)
+    res = smooth_fourfold_fp(cubic, 3)
     # mod 3 every partial derivative vanishes identically: nothing is smooth
     assert res.smooth_mod_p is False
+    # the curve scan has the same point budget: P^2(F_317) has 100,807 points
+    with pytest.raises(PrimeTooLarge):
+        smooth_plane_curve_fp(_pf("X0^6+X1^6+X2^6"), 317)
+    # and reads it at call time: P^5(F_3) has 364 points
+    monkeypatch.setattr(detrep, "MAX_POINTS", 363)
+    with pytest.raises(PrimeTooLarge):
+        smooth_fourfold_fp(cubic, 3)
+
+
+def test_scan_matches_evaluate_oracle():
+    # degrees above p - 1 exercise the exponent reduction of the compiled scan
+    rng = random.Random(71)
+    for _ in range(30):
+        p = rng.choice((2, 3, 5, 7))
+        degree = rng.randint(1, 14)
+        f = oracles.random_plane_form(rng, degree)
+        if rng.random() < 0.5:
+            line = oracles.random_plane_form(rng, 1)
+            f = f * line * line
+        if all(c % p == 0 for c in f.coeffs.values()):
+            continue
+        res = smooth_plane_curve_fp(f, p)
+        assert (res.witness, res.points_scanned) == oracles.scan_direct(f, p)
+        assert res.smooth_mod_p == (res.witness is None)
+    # exponents and term counts far past the compiler's nesting limit
+    fermat = _pf("X0^5000+X1^5000+X2^5000")
+    assert smooth_plane_curve_fp(fermat, 7) == ScanResult(True, None, 57)
+    dense = _pf("+".join(f"X0^{i}*X1^{j}*X2^{80 - i - j}" for i in range(81) for j in range(81 - i)))
+    assert len(dense.coeffs) == 3321
+    assert smooth_plane_curve_fp(dense, 2) == ScanResult(True, None, 7)
 
 
 def test_scan_rejects_bad_reductions():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cubiclat import discgroup
 from cubiclat.discgroup import (
     DiscriminantGroup,
     FiniteQuadraticForm,
@@ -165,11 +166,12 @@ def test_milgram_agrees_with_direct_sum_oracle():
         assert milgram_signature(form) == oracles.milgram_direct(form)
 
 
-def test_milgram_cap():
+def test_milgram_cap(monkeypatch):
     lat = direct_sum(rank_one(2), direct_sum(rank_one(2), rank_one(2)))
     form = discriminant_form(lat)
+    monkeypatch.setattr(discgroup, "MAX_GROUP_ORDER", 4)
     with pytest.raises(GroupTooLarge):
-        milgram_signature(form, enumeration_cap=4)
+        milgram_signature(form)
 
 
 def test_degenerate_form_detected():

@@ -10,6 +10,7 @@ from cubiclat.errors import (
     NotSymmetric,
     ParseError,
 )
+from cubiclat.discgroup import FiniteQuadraticForm, smith_normal_form
 from cubiclat.enumeration import vectors_of_norm
 from cubiclat.fourfold import MarkedFourfold
 from cubiclat.lattice import (
@@ -87,6 +88,38 @@ def test_construction_rejects_bad_gram():
 )
 def test_non_integer_input_is_parse_error(call):
     with pytest.raises(ParseError):
+        call()
+
+
+FQF_2 = {"orders": [2], "q": ["1/2"], "b": [["1/2"]]}
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: smith_normal_form([[1, 2], [3]]), DimensionMismatch),
+        (lambda: smith_normal_form([[1.5]]), ParseError),
+        (lambda: Lattice.from_json({}), ParseError),
+        (lambda: Lattice.from_json({"gram": 5}), ParseError),
+        (lambda: MarkedFourfold.from_json({"gram": [[3]]}), ParseError),
+        (lambda: FiniteQuadraticForm.from_json({**FQF_2, "orders": [2.7]}), ParseError),
+        (lambda: FiniteQuadraticForm.from_json({**FQF_2, "orders": "2"}), ParseError),
+        (lambda: FiniteQuadraticForm.from_json({**FQF_2, "q": ["x"]}), ParseError),
+    ],
+    ids=[
+        "snf-ragged",
+        "snf-float",
+        "lattice-json-no-gram",
+        "lattice-json-int-gram",
+        "marked-json-no-h2",
+        "fqf-json-float-order",
+        "fqf-json-text-order",
+        "fqf-json-text-q",
+    ],
+)
+def test_json_and_snf_entry_points_raise_typed_errors(call, error):
+    assert FiniteQuadraticForm.from_json(FQF_2).order == 2
+    with pytest.raises(error):
         call()
 
 
