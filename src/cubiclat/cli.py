@@ -30,7 +30,7 @@ CLAIMS = {
     "milgram": "sum over A of exp(pi*i*q(x)) = sqrt(|A|)*exp(2*pi*i*sigma/8) for non-degenerate q",
     "complement": "the orthogonal complement is the saturated kernel of pairing against the given classes",
     "index": "[L:L'] = sqrt(d(L')/d(L)) for a finite-index sublattice",
-    "norm": "short-vector enumeration is complete (exact rational interval bounds at every level)",
+    "norm": "short-vector enumeration is complete (exact integer square-root bounds at every level)",
     "shortroots": "short roots are the norm-2 vectors of an even positive definite lattice",
     "longroots": "long roots are norm-6 vectors with all basis pairings divisible by 3",
     "isotropic": "a rank-2 even form [[2a,b],[b,2c]] represents zero iff b^2-4ac is a perfect square",

@@ -6,14 +6,17 @@ the corner, so the determinant is homogeneous of degree n + 2.  Size 4
 gives the sextic story; build_cubic and quadric_gram are mutually inverse
 on cubics that contain the plane where the first three coordinates vanish.
 
-Smoothness scans run over all points of projective space over F_p and
-certify only the reduction mod p; a witness is returned in a fixed scan
-order, so results are deterministic.
+Smoothness scans cover all points of projective space over F_p and certify
+only the reduction mod p; a witness is returned in a fixed scan order, so
+results are deterministic.  Plane curves are scanned line by line: the form
+and its partials are restricted to each line and their univariate gcd over
+F_p gives the line's singular points.  Fourfolds are scanned point by point.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .errors import (
     BadPrime,
@@ -280,17 +283,22 @@ class ScanResult:
         }
 
 
+def _reduce_exponent(e: int, p: int) -> int:
+    # x^e = x^((e-1) % (p-1) + 1) for every x in F_p once e >= 1
+    return (e - 1) % (p - 1) + 1 if e else 0
+
+
 def _compile(f: Form):
-    # eval'd straight-line code scans a dense sextic over P^2(F_211) in 0.25 s,
-    # a term loop in 1.95 s (2-vCPU Xeon VM); sum() and x^e = x^((e-1) % (p-1) + 1)
-    # on F_p keep it shallow enough to compile at any term count and exponent
+    # eval'd straight-line code scans a dense cubic over P^5(F_5) in 12.6 ms,
+    # gcds on the lines of P^5 in 25 ms, since a line has only p points (2-vCPU
+    # Xeon VM); sum() and the exponent reduction keep it shallow enough to
+    # compile at any term count and exponent
     p = f.p
     terms = []
     for exps, c in f.coeffs.items():
         factors = [str(c)]
         for i, e in enumerate(exps):
-            if e:
-                factors.extend([f"v{i}"] * ((e - 1) % (p - 1) + 1))
+            factors.extend([f"v{i}"] * _reduce_exponent(e, p))
         terms.append("*".join(factors))
     args = ",".join(f"v{i}" for i in range(len(f.variables)))
     return eval(f"lambda {args}: sum([{','.join(terms)}]) % {p}", {"__builtins__": {}, "sum": sum}, {})
@@ -307,7 +315,8 @@ def projective_points(nvars: int, p: int):
             yield (0,) * lead + (1,) + tail
 
 
-def _scan(f: Form, p: int) -> ScanResult:
+def _system(f: Form, p: int) -> list:
+    # g = f mod p and its partials, once the scan's prime, budget and field are checked
     check_prime(p)
     nvars = len(f.variables)
     points = (p**nvars - 1) // (p - 1)
@@ -317,19 +326,76 @@ def _scan(f: Form, p: int) -> ScanResult:
         )
     if f.p is not None and f.p != p:
         raise BadPrime(f"form lives over F_{f.p}, scan requested mod {p}")
-    reduced = Form(f.variables, f.degree, f.coeffs, p)
-    if reduced.is_zero():
+    g = Form(f.variables, f.degree, f.coeffs, p)
+    if g.is_zero():
         raise BadPrime(f"{p} divides every coefficient")
-    value_fn = _compile(reduced)
-    partial_fns = [_compile(reduced.derivative(i)) for i in range(nvars)]
-    count = 0
-    for point in projective_points(nvars, p):
-        count += 1
+    return [g] + [g.derivative(i) for i in range(nvars)]
+
+
+def _point_scan(system: list) -> ScanResult:
+    value_fn, *partial_fns = map(_compile, system)
+    for count, point in enumerate(projective_points(len(partial_fns), system[0].p), 1):
         if value_fn(*point) != 0:
             continue
         if all(fn(*point) == 0 for fn in partial_fns):
             return ScanResult(False, point, count)
     return ScanResult(True, None, count)
+
+
+def _poly_gcd(a: list, b: list, p: int) -> list:
+    # Euclid on coefficient lists over F_p, constant term first; a leading
+    # zero of a just gives q = 0, and the gcd comes back without one
+    while True:
+        while b and not b[-1]:
+            b = b[:-1]
+        if not b:
+            return a
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q, shift = a[-1] * inv % p, len(a) - len(b)
+            a = a[:shift] + [(x - q * c) % p for x, c in zip(a[shift:-1], b)]
+        a, b = b, a
+
+
+def _line_scan(system: list) -> ScanResult:
+    # For each (x0, x1) in projective_points(2, p), the points (x0, x1, t),
+    # t = 0..p-1, come consecutively in scan order: restrict the plane system
+    # to that line and fold its gcd over F_p, whose smallest root t is the
+    # line's first singular point.  (0,0,1) comes last.
+    p = system[0].p
+    monomials, term_lists = {}, []
+    for h in system:
+        terms = {}
+        for exps, c in h.coeffs.items():
+            key = tuple(_reduce_exponent(e, p) for e in exps)
+            terms[key] = (terms.get(key, 0) + c) % p
+        term_lists.append([(monomials.setdefault(key[:2], len(monomials)), key[2], c) for key, c in terms.items() if c])
+    # all empty when the system vanishes on all of F_p^3
+    width = 1 + max((k for terms in term_lists for _, k, _ in terms), default=0)
+    top = max(map(max, monomials), default=0)
+
+    def restrict(x0, x1):
+        # each h(x0, x1, t) as a coefficient list in t
+        r0, r1 = ([pow(x, e, p) for e in range(top + 1)] for x in (x0, x1))
+        values = [r0[e0] * r1[e1] for e0, e1 in monomials]
+        for terms in term_lists:
+            poly = [0] * width
+            for m, k, c in terms:
+                poly[k] += c * values[m]
+            yield [c % p for c in poly]
+
+    for line, prefix in enumerate(projective_points(2, p)):
+        common = []
+        for poly in restrict(*prefix):
+            common = _poly_gcd(common, poly, p)
+            if len(common) == 1:
+                break
+        else:
+            for t in range(p):  # Horner
+                if not reduce(lambda v, c: (v * t + c) % p, reversed(common), 0):
+                    return ScanResult(False, prefix + (t,), line * p + t + 1)
+    singular = all(sum(poly) % p == 0 for poly in restrict(0, 0))
+    return ScanResult(not singular, (0, 0, 1) if singular else None, p * p + p + 1)
 
 
 def smooth_plane_curve_fp(f: Form, p: int) -> ScanResult:
@@ -340,10 +406,10 @@ def smooth_plane_curve_fp(f: Form, p: int) -> ScanResult:
     """
     if f.variables != PLANE_VARS:
         raise WrongVariable(f"expected plane variables {PLANE_VARS}")
-    return _scan(f, p)
+    return _line_scan(_system(f, p))
 
 
 def smooth_fourfold_fp(f: Form, p: int) -> ScanResult:
     """Scan P^5(F_p) for singular points of the cubic."""
     _require_ambient_cubic(f)
-    return _scan(f, p)
+    return _point_scan(_system(f, p))

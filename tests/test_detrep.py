@@ -1,6 +1,9 @@
+import functools
+import operator
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cubiclat import detrep
 from cubiclat.detrep import (
@@ -263,3 +266,81 @@ def test_scan_result_json():
     assert data["smooth_mod_p"] is False
     assert data["witness"] == [1, 0, 0]
     assert data["points_scanned"] >= 1
+
+
+def _line_through(u, v, p):
+    # the linear form vanishing at the points u and v of P^2(F_p) (zero if u = v)
+    coeffs = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+    return Form(PLANE_VARS, 1, dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), coeffs)), p)
+
+
+@st.composite
+def scan_curves(draw):
+    """(f, p): a curve singular by construction, singular only over F_p^2, or dense."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    kind = draw(st.sampled_from(("node", "cusp", "conjugate", "dense")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    points = list(projective_points(3, p))
+    if kind in ("node", "cusp"):
+        # L1 and L2 pass through the drawn point, so the curve is singular there
+        point = draw(st.sampled_from(points))
+        l1, l2 = (_line_through(point, draw(st.sampled_from(points)), p) for _ in range(2))
+        degree = draw(st.integers(3, 7))
+        m = oracles.random_plane_form(rng, degree - 2, p)
+        if kind == "node":
+            f = l1 * l2 * m
+        else:
+            f = l1 * l1 * m + l2 * l2 * l2 * oracles.random_plane_form(rng, degree - 3, p)
+    elif kind == "conjugate" and p > 2:
+        # (X2^2 - n*X0^2)^2 + X1^2*h has nodes where X1 = 0 and X2^2 = n*X0^2,
+        # a conjugate pair over F_p^2, for n a non-residue mod p (F_2 has
+        # none, so p = 2 draws a dense curve instead)
+        n = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+        f = _pf(f"X2^4 - {2 * n}*X0^2*X2^2 + {n * n}*X0^4", p)
+        f = f + _pf("X1^2", p) * oracles.random_plane_form(rng, 2, p)
+    else:
+        f = oracles.random_plane_form(rng, draw(st.integers(1, 8)), p)
+    return f, p
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(scan_curves())
+def test_line_scan_matches_point_scans(case):
+    f, p = case
+    assume(not f.is_zero())
+    res = smooth_plane_curve_fp(f, p)
+    assert (res.witness, res.points_scanned) == oracles.scan_direct(f, p)
+    assert res == detrep._point_scan(detrep._system(f, p))
+
+
+def _prod(*texts):
+    return functools.reduce(operator.mul, map(_pf, texts))
+
+
+@pytest.mark.parametrize(
+    "f, p, witness, scanned",
+    [
+        # the only singular point (0,1,3) lies on the line X0 = 0
+        (_prod("X0", "X2 - 3*X1"), 7, (0, 1, 3), 53),
+        # the two lines meet at (0,0,1), the last point scanned
+        (_pf("X0*X1"), 5, (0, 0, 1), 31),
+        # the line X1 = 2*X0 is singular: the gcd on it is zero, so t = 0
+        (_prod("X1 - 2*X0", "X1 - 2*X0", "X0 + X2"), 7, (1, 2, 0), 15),
+        # nodes at (1,0,2) and (1,0,5) on one line: the smaller root wins
+        (_pf("X0^2*X1^2") + _prod("X2 - 2*X0", "X2 - 2*X0", "X2 - 5*X0", "X2 - 5*X0"), 7, (1, 0, 2), 3),
+        # p divides the degree, so every partial vanishes and f alone decides
+        (_pf("X0^6 + X1^6 + X2^6"), 2, (1, 0, 1), 2),
+        (_pf("X0^6 + X1^6 + X2^6"), 3, (1, 1, 1), 5),
+        # smooth: all p^2 + p + 1 points are covered
+        (_pf("X0^2 + X1^2 + X2^2"), 13, None, 183),
+        # (X0^2*X1 + X0*X1^2)^2 mod 2: f and its partials vanish at every point
+        (_pf("X0^4*X1^2 + X0^2*X1^4"), 2, (1, 0, 0), 1),
+        # degrees in t far past any list size: exponents are reduced mod p - 1
+        (_pf(f"X2^{10**20} + X0*X1*X2^{10**20 - 2}"), 5, (1, 0, 0), 1),
+    ],
+    ids=["x0-line", "last-point", "singular-line", "smallest-root", "fermat-mod-2", "fermat-mod-3", "smooth", "vanishes-everywhere", "huge-exponent"],
+)
+def test_line_scan_edge_cases(f, p, witness, scanned):
+    res = smooth_plane_curve_fp(f, p)
+    assert res == ScanResult(witness is None, witness, scanned)
+    assert res == detrep._point_scan(detrep._system(f, p))

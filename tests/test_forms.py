@@ -23,11 +23,15 @@ import oracles
 
 
 def test_check_prime():
-    for p in (2, 3, 5, 7, 101):
+    for p in (2, 3, 5, 7, 101, 2147483629, 2147483629):
         check_prime(p)
-    for bad in (1, 0, -3, 4, 9, 2**31):
+    # unhashable and non-integer input is refused before the cached divisor search
+    for bad in (1, 0, -3, 4, 9, 2**31, 2.5, "7", [3], None):
         with pytest.raises(BadPrime):
             check_prime(bad)
+    for _ in range(2):
+        with pytest.raises(BadPrime, match=r"^9 = 3 \* 3 is not prime$"):
+            check_prime(9)
 
 
 def test_serialize_frozen():
