@@ -172,8 +172,7 @@ class Form:
         for exps, value in self.coeffs.items():
             term = value
             for x, e in zip(point, exps):
-                for _ in range(e):
-                    term = term * x
+                term = term * (x**e if self.p is None else pow(x, e, self.p))
             total = total + term
         return total if self.p is None else total % self.p
 

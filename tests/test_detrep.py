@@ -344,3 +344,4 @@ def test_line_scan_edge_cases(f, p, witness, scanned):
     res = smooth_plane_curve_fp(f, p)
     assert res == ScanResult(witness is None, witness, scanned)
     assert res == detrep._point_scan(detrep._system(f, p))
+    assert (witness, scanned) == oracles.scan_direct(f, p)

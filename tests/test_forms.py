@@ -140,6 +140,12 @@ def test_evaluate_is_multiplicative():
             assert lhs == rhs
 
 
+def test_evaluate_huge_exponent_mod_p():
+    # one modular power per factor: X0^100000 costs no more than X0^2
+    f = parse_form("X0^100000", PLANE_VARS, 7)
+    assert f.evaluate((3, 1, 1)) == pow(3, 100000, 7)
+
+
 def test_derivative_leibniz():
     rng = random.Random(43)
     for _ in range(10):

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cubiclat import discgroup, fourfold
+from cubiclat.discgroup import discriminant_group, mayanskiy_q, milgram_signature, twist_parity_failure
 from cubiclat.errors import (
     BadEpsilon,
     NotPositiveDefinite,
@@ -203,3 +206,85 @@ def test_marked_json_round_trip():
     assert again.lattice == m.lattice
     assert again.h2 == m.h2
     assert again.p == m.p
+
+
+@pytest.mark.parametrize(
+    "gram, a, detail",
+    [
+        (((2, 0), (0, 2)), (0, 1), "residue 0 mod 8 on group of orders [2, 2]"),
+        (((1, 0), (0, 2)), (1, 1), "residue 1 mod 8 on group of orders [2]"),
+        (((1, 0), (0, 3)), (1, 1), "residue 2 mod 8 on group of orders [3]"),
+        (((1, 0), (0, 4)), (1, 1), "residue 3 mod 8 on group of orders [4]"),
+        (((1, 0), (0, 5)), (1, 1), "residue 4 mod 8 on group of orders [5]"),
+        (((1, 0), (0, 6)), (1, 1), "residue 5 mod 8 on group of orders [6]"),
+        (((2, 0), (0, 2)), (0, 2), "residue 6 mod 8 on group of orders [2, 2]"),
+        (((1, 0), (0, 2)), (1, 2), "residue 7 mod 8 on group of orders [2]"),
+        # m = b(a,a) = 0: the twisted form is -q_L
+        (((2, -1), (-1, 2)), (0, 0), "residue 6 mod 8 on group of orders [3]"),
+        # m = 1: L = Za + a^perp and the form is -q_(a^perp)
+        (((1, 0), (0, 2)), (1, 0), "residue 7 mod 8 on group of orders [2]"),
+    ],
+    ids=[f"residue-{r}" for r in range(8)] + ["m=0", "m=1"],
+)
+def test_condition6_residues(gram, a, detail):
+    lat = Lattice(gram)
+    cond6 = mayanskiy_check(lat, a).conditions[5]
+    assert cond6.detail == detail
+    residue = int(detail.split()[1])
+    assert cond6.passed is (residue == 0)
+    assert oracles.milgram_direct(mayanskiy_q(lat, a)) == residue
+
+
+@st.composite
+def twisted_lattices(draw):
+    """(lat, a) with G = U^T D U: D diagonal, U unimodular, a in [-3,3]^n.
+
+    Condition 5 says a is characteristic: G a = diag(G) mod 2, which with
+    x = U a reads D (x - 1) = 0 mod 2.  D_k is drawn even wherever x_k is
+    even, so condition 5 holds and |A| = prod D_k <= 4^n.
+    """
+    n = draw(st.integers(1, 6))
+    a = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n > 1:
+        for _ in range(draw(st.integers(0, 2 * n))):
+            i, j = draw(st.permutations(range(n)))[:2]
+            c = draw(st.sampled_from((-1, 1)))
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    x = [sum(r * y for r, y in zip(row, a)) for row in u]
+    d = [draw(st.sampled_from((2, 4) if xk % 2 == 0 else (1, 2, 3, 4))) for xk in x]
+    gram = tuple(
+        tuple(sum(u[k][i] * d[k] * u[k][j] for k in range(n)) for j in range(n)) for i in range(n)
+    )
+    return Lattice(gram), tuple(a)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(twisted_lattices())
+def test_condition6_is_milgram_residue(case):
+    lat, a = case
+    assert twist_parity_failure(lat, a) is None
+    residue = (bilinear(lat, a, a) - lat.rank) % 8
+    if lat.rank >= 2:
+        cond6 = mayanskiy_check(lat, a).conditions[5]
+        assert cond6.detail.startswith(f"residue {residue} mod 8 ")
+    if discriminant_group(lat).order <= 2000:
+        form = mayanskiy_q(lat, a)
+        assert milgram_signature(form) == residue
+        assert oracles.milgram_direct(form) == residue
+
+
+def test_condition6_never_sums_the_group(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("condition 6 must not sum the discriminant group")
+
+    monkeypatch.setattr(discgroup, "milgram_signature", refuse)
+    monkeypatch.setattr(fourfold, "milgram_signature", refuse)
+    monkeypatch.setattr(discgroup.FiniteQuadraticForm, "elements", refuse)
+    report = mayanskiy_check(A_EXE, (1, 0, 0))
+    assert report.all_pass
+    # |A| = 3 * 10^12, far past MAX_GROUP_ORDER
+    huge = mayanskiy_check(Lattice(((3, 0, 0), (0, 10**6, 0), (0, 0, 10**6))), (1, 0, 0))
+    assert [c.index for c in huge.conditions] == [1, 2, 3, 4, 5, 6]
+    assert huge.conditions[5].detail == "residue 0 mod 8 on group of orders [1000000, 3000000]"
+    assert huge.all_pass
