@@ -1,8 +1,8 @@
 """Exact lattice-side and determinantal-side tools for cubic fourfolds
 containing a plane.
 
-Everything is integer or rational arithmetic; floats appear only in the
-final step of the Gauss-sum signature check, with an explicit tolerance.
+Everything is integer or rational arithmetic; no floating point is used,
+the Milgram residue included.
 """
 
 from .errors import (

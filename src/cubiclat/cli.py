@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import detrep, discgroup, enumeration, forms, fourfold, lattice
-from .errors import CubiclatError, ParseError, PreconditionError
+from .errors import CubiclatError, InvariantViolation, ParseError, PreconditionError
 from .lattice import _json_int_rows, _json_ints
 
 CLAIMS = {
@@ -141,10 +141,7 @@ def _load_vector(args, flag: str) -> tuple:
 
 
 def _load_matrix(args) -> detrep.FormMatrix:
-    data = _read_input(args, "matrix")
-    if not isinstance(data, dict):
-        _fail("matrix input must be an object with size, field, entries")
-    return detrep.FormMatrix.from_json(data)
+    return detrep.FormMatrix.from_json(_read_input(args, "matrix"))
 
 
 def _load_form(args, flag: str, variables):
@@ -230,6 +227,9 @@ def _lat_milgram(args):
     lat = _load_lattice(args)
     form = discgroup.discriminant_form(lat)
     sigma = discgroup.milgram_signature(form)
+    sig = lattice.signature(lat)
+    if sigma != (sig.s_plus - sig.s_minus) % 8:
+        raise InvariantViolation(f"Milgram residue {sigma} but signature {sig.s_plus} - {sig.s_minus}")
     result = {"residue": sigma, "orders": list(form.orders)}
     return lat.to_json(), result, [f"Milgram residue: {sigma} (group orders {list(form.orders)})"]
 

@@ -113,6 +113,8 @@ class FormMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "FormMatrix":
+        if not isinstance(data, dict):
+            raise ParseError("matrix input must be an object with size, field, entries")
         for key in ("size", "field", "entries"):
             if key not in data:
                 raise ParseError(f"form matrix is missing {key!r}")

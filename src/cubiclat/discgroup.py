@@ -2,16 +2,14 @@
 
 The discriminant group A_L = L*/L is read off the Smith normal form of the
 Gram matrix.  Quadratic values live in Q/2Z (reduced to [0,2)), pairings in
-Q/Z (reduced to [0,1)); the only inexact step anywhere is the complex
-exponential at the very end of the Gauss sum.
+Q/Z (reduced to [0,1)).  The Milgram residue is read off a rational
+diagonalization of each p-part, so every step is exact.
 """
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 from .errors import (
@@ -24,11 +22,12 @@ from .errors import (
     OddLattice,
     ParseError,
 )
-from .lattice import Lattice, _ints, _json_ints, discriminant, gram_times, is_even
+from .forms import _least_divisor
+from .lattice import Lattice, _diagonal, _ints, _json_ints, discriminant, gram_times, is_even
 
-# elements one Gauss sum may enumerate; (Z/1000)^2 takes about 1.3 s
-MAX_GROUP_ORDER = 10**6
-GAUSS_SUM_TOLERANCE = 1e-6
+# largest invariant factor milgram_signature factors: trial division up to
+# its square root, 10^6 steps; the prime 999,999,999,989 takes about 0.1 s
+MAX_ORDER = 10**12
 
 
 @dataclass(frozen=True)
@@ -231,9 +230,9 @@ class FiniteQuadraticForm:
             q = self.q_vals[i]
             if not (0 <= q < 2):
                 raise InvariantViolation(f"q value {q} not reduced to [0,2)")
-            if (2 * self.orders[i]) % q.denominator != 0:
+            if self.orders[i] ** 2 * q % 2 != 0:
                 raise InvariantViolation(
-                    f"q({i}) = {q} has denominator incompatible with order {self.orders[i]}"
+                    f"q({i}) = {q} is ill-defined on a generator of order {self.orders[i]}"
                 )
             if len(self.b_vals[i]) != k:
                 raise InvariantViolation("pairing table is not square")
@@ -245,7 +244,7 @@ class FiniteQuadraticForm:
                     raise InvariantViolation(f"b value {b} not reduced to [0,1)")
                 if b != self.b_vals[j][i]:
                     raise InvariantViolation("pairing table is not symmetric")
-                if (b * gcd(self.orders[i], self.orders[j])).denominator != 1:
+                if (b * math.gcd(self.orders[i], self.orders[j])).denominator != 1:
                     raise InvariantViolation(
                         f"b({i},{j}) = {b} incompatible with generator orders"
                     )
@@ -330,59 +329,58 @@ def discriminant_form(lat: Lattice) -> FiniteQuadraticForm:
     return FiniteQuadraticForm(dg.orders, q, b)
 
 
+def _split(x: int | Fraction, p: int) -> tuple[int, int]:
+    # (v, u) with x = p^v * n/w: lowest terms put p in n or in w, not both,
+    # and u = n*w is n/w mod 8, and mod squares for an odd p
+    v, u = 0, x.numerator * x.denominator
+    while u % p == 0:
+        u //= p
+        v += 1
+    return (-v if x.denominator % p == 0 else v), u
+
+
 def milgram_signature(form: FiniteQuadraticForm) -> int:
     """Residue sigma mod 8 with sum over A of exp(pi*i*q(x)) = sqrt(|A|) * e^(2*pi*i*sigma/8).
 
-    Phases are exact rationals mod 2; they are bucketed over a common
-    denominator and only the final complex exponential is floating point.
-    The sum must land within GAUSS_SUM_TOLERANCE * sqrt(|A|) of an
-    eighth-root ray, otherwise the pairing is degenerate and there is no
-    residue to report.  A group of more than MAX_GROUP_ORDER elements
-    raises GroupTooLarge.
+    Nothing is summed.  For each prime p dividing |A|, with k_i = v_p(d_i),
+    G_p is the rational matrix of q and b on h_i = (d_i / p^k_i) * g_i.
+    Writing each entry of a diagonalization of G_p as p^v * u, the 2-part
+    adds the oddity, u + 4*[v odd and u = +-3 mod 8], and an odd p subtracts
+    the p-excess, (p - 1) + 4*[u not a square mod p] for each odd v
+    (Conway-Sloane, SPLAG ch. 15 sec. 7).  DegenerateForm is raised exactly
+    when an entry is 0 or the v do not sum to -(sum of k_i), GroupTooLarge
+    when an invariant factor is over MAX_ORDER.
     """
-    order = form.order
-    if order > MAX_GROUP_ORDER:
-        raise GroupTooLarge(f"|A| = {order} exceeds the cap MAX_GROUP_ORDER = {MAX_GROUP_ORDER}")
-    k = len(form.orders)
-    if k == 0:
-        return 0
-    den = 1
-    for x in form.q_vals:
-        den = den * x.denominator // gcd(den, x.denominator)
-    for row in form.b_vals:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    # integer numerators of q and 2b over the common denominator
-    qn = [int(x * den) for x in form.q_vals]
-    bn2 = [[2 * int(x * den) for x in row] for row in form.b_vals]
-    mod = 2 * den
-    buckets = [0] * mod
-    for coeffs in form.elements():
-        num = 0
-        for i in range(k):
-            ci = coeffs[i]
-            if ci == 0:
-                continue
-            num += ci * ci * qn[i]
-            row = bn2[i]
-            for j in range(i + 1, k):
-                num += ci * coeffs[j] * row[j]
-        buckets[num % mod] += 1
-    total = 0j
-    for r in range(mod):
-        if buckets[r]:
-            total += buckets[r] * cmath.exp(1j * math.pi * r / den)
-    magnitude = math.sqrt(order)
-    if abs(abs(total) - magnitude) > GAUSS_SUM_TOLERANCE * magnitude:
-        raise DegenerateForm(
-            f"Gauss sum magnitude {abs(total):.6f} != sqrt(|A|) = {magnitude:.6f}"
-        )
-    sigma = round(cmath.phase(total) / (math.pi / 4)) % 8
-    if abs(total - magnitude * cmath.exp(1j * math.pi * sigma / 4)) > (
-        GAUSS_SUM_TOLERANCE * magnitude
-    ):
-        raise DegenerateForm("Gauss sum does not sit on an eighth-root ray")
-    return sigma
+    primes = set()
+    for d in form.orders:
+        if d > MAX_ORDER:
+            raise GroupTooLarge(f"invariant factor {d} exceeds MAX_ORDER = {MAX_ORDER}")
+        while d > 1:
+            p = _least_divisor(d) or d
+            primes.add(p)
+            d = _split(d, p)[1]
+    # A_p is the discriminant form of the Z_p-lattice with Gram matrix G_p^-1
+    # (when b is non-degenerate on A_p, which holds exactly when det G_p *
+    # p^(sum k_i) is a p-adic unit), and G_p^-1 = G_p^-1 * G_p * G_p^-1 is
+    # congruent to G_p over Q; oddity and p-excess are invariants of the
+    # rational class, and _diagonal keeps the determinant
+    sigma = 0
+    for p in sorted(primes):
+        gens = [(i, *_split(d, p)) for i, d in enumerate(form.orders) if d % p == 0]
+        rows = [
+            [ci * cj * (form.q_vals[i] if i == j else form.b_vals[i][j]) for j, _, cj in gens]
+            for i, _, ci in gens
+        ]
+        diag = _diagonal(rows)
+        local = [_split(x, p) for x in diag if x]
+        if len(local) < len(diag) or sum(v for v, _ in local) != -sum(k for _, k, _ in gens):
+            raise DegenerateForm(f"the pairing has a kernel on the {p}-part of the group")
+        for v, u in local:
+            if p == 2:
+                sigma += u % 8 + (4 if v % 2 and u % 8 in (3, 5) else 0)
+            elif v % 2:
+                sigma -= p - 1 + (4 if pow(u, (p - 1) // 2, p) != 1 else 0)
+    return sigma % 8
 
 
 def twist_parity_failure(lat: Lattice, a: Sequence[int]) -> int | None:

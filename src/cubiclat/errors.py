@@ -47,11 +47,11 @@ class OddLattice(PreconditionError):
 
 
 class GroupTooLarge(PreconditionError):
-    pass
+    """An invariant factor is over discgroup.MAX_ORDER."""
 
 
 class DegenerateForm(PreconditionError):
-    """Gauss sum magnitude is not sqrt(|A|): the pairing has a kernel."""
+    """The pairing has a kernel, so the Gauss sum has no residue."""
 
 
 class Condition5Violated(PreconditionError):

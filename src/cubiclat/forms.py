@@ -28,7 +28,8 @@ def check_prime(p: int):
 
 @lru_cache(maxsize=64)
 def _least_divisor(p: int) -> int:
-    # every Form over F_p checks p: trial division up to 46,340 runs once per p
+    # every Form over F_p checks p (trial division up to 46,340), and
+    # milgram_signature factors invariant factors (up to 10^6): once per number
     return next((d for d in range(2, isqrt(p) + 1) if p % d == 0), 0)
 
 
@@ -240,6 +241,8 @@ def parse_form(text: str, variables, p=None) -> Form:
     Whitespace is ignored.  Variables must come from the declared set;
     all terms must share one total degree.
     """
+    if not isinstance(text, str):
+        raise ParseError(f"a form is a text, got {text!r}")
     variables = tuple(variables)
     by_length = sorted(variables, key=len, reverse=True)
     pos = 0

@@ -143,50 +143,47 @@ def discriminant(lat: Lattice) -> int:
     return det_int(lat.gram)
 
 
-def signature(lat: Lattice) -> Signature:
-    """Counts (s_plus, s_minus, s_zero) of the real diagonalization.
+def _diagonal(rows: Sequence[Sequence]) -> list[Fraction]:
+    """Diagonal entries of a form congruent over Q to the symmetric matrix rows.
 
-    Symmetric Gaussian elimination over Fraction with symmetric pivoting.
-    When every remaining diagonal entry is zero but the block is not, an
-    off-diagonal entry spans a hyperbolic pair and contributes one +1 and
-    one -1 before elimination continues on its Schur complement.
+    Symmetric Gaussian elimination over Fraction; the product of the entries
+    is the determinant, and a zero entry stands for each dimension of the
+    radical.  When every remaining diagonal entry is zero, an off-diagonal
+    b(e_i, e_j) = b != 0 makes e_i + e_j a pivot of norm 2b, so the plane
+    they span becomes <2b, -b/2>.
     """
-    n = lat.rank
-    a = [[Fraction(x) for x in row] for row in lat.gram]
-    alive = list(range(n))
-    s_plus = s_minus = s_zero = 0
+    a = [[Fraction(x) for x in row] for row in rows]
+    alive = list(range(len(a)))
+    out = []
     while alive:
         piv = next((i for i in alive if a[i][i] != 0), None)
-        if piv is not None:
-            d = a[piv][piv]
-            if d > 0:
-                s_plus += 1
-            else:
-                s_minus += 1
-            rest = [i for i in alive if i != piv]
-            for i in rest:
-                if a[i][piv] == 0:
-                    continue
-                for j in rest:
-                    a[i][j] -= a[i][piv] * a[piv][j] / d
-            alive = rest
-            continue
-        pair = next(
-            ((i, j) for i in alive for j in alive if i < j and a[i][j] != 0), None
-        )
-        if pair is None:
-            s_zero += len(alive)
-            break
-        i0, j0 = pair
-        b = a[i0][j0]
-        s_plus += 1
-        s_minus += 1
-        rest = [k for k in alive if k != i0 and k != j0]
-        for k in rest:
-            for l in rest:
-                a[k][l] -= (a[k][i0] * a[j0][l] + a[k][j0] * a[i0][l]) / b
-        alive = rest
-    return Signature(s_plus, s_minus, s_zero)
+        if piv is None:
+            pair = next(((i, j) for i in alive for j in alive if i < j and a[i][j] != 0), None)
+            if pair is None:
+                return out + [Fraction(0)] * len(alive)
+            piv, j = pair
+            for k in alive:
+                a[piv][k] += a[j][k]
+            for k in alive:
+                a[k][piv] += a[k][j]
+        d = a[piv][piv]
+        out.append(d)
+        alive.remove(piv)
+        top = a[piv]
+        for i in alive:
+            row = a[i]
+            if row[piv] == 0:
+                continue
+            f = row[piv] / d
+            for j in alive:
+                row[j] -= f * top[j]
+    return out
+
+
+def signature(lat: Lattice) -> Signature:
+    """Counts (s_plus, s_minus, s_zero) of the signs of a rational diagonalization."""
+    signs = [(d > 0) - (d < 0) for d in _diagonal(lat.gram)]
+    return Signature(signs.count(1), signs.count(-1), signs.count(0))
 
 
 def is_even(lat: Lattice) -> bool:

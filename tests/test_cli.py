@@ -106,6 +106,14 @@ def test_milgram_command(capsys):
     assert json.loads(out)["result"]["residue"] == 2
 
 
+def test_milgram_command_cross_checks_the_signature(capsys, monkeypatch):
+    monkeypatch.setattr(cubiclat.discgroup, "milgram_signature", lambda form: 3)
+    code, out, err = run(capsys, "lat", "milgram", "--gram", "[[2,0],[0,6]]")
+    assert code == 1
+    assert out == ""
+    assert err == "internal error: Milgram residue 3 but signature 2 - 0\n"
+
+
 def test_enum_norm_and_jsonl(capsys):
     code, out, _ = run(
         capsys, "enum", "norm", "--gram", "[[2,1],[1,2]]", "--norm", "2"

@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cubiclat import discgroup
 from cubiclat.discgroup import (
@@ -19,11 +21,11 @@ from cubiclat.errors import (
     DegenerateForm,
     GroupTooLarge,
     OddLattice,
+    ParseError,
 )
 from cubiclat.lattice import (
     Lattice,
     bilinear,
-    direct_sum,
     discriminant,
     e8,
     hyperbolic_u,
@@ -166,12 +168,31 @@ def test_milgram_agrees_with_direct_sum_oracle():
         assert milgram_signature(form) == oracles.milgram_direct(form)
 
 
-def test_milgram_cap(monkeypatch):
-    lat = direct_sum(rank_one(2), direct_sum(rank_one(2), rank_one(2)))
-    form = discriminant_form(lat)
-    monkeypatch.setattr(discgroup, "MAX_GROUP_ORDER", 4)
-    with pytest.raises(GroupTooLarge):
+def test_milgram_max_order(monkeypatch):
+    form = discriminant_form(Lattice(((2, 0), (0, 6))))
+    monkeypatch.setattr(discgroup, "MAX_ORDER", 5)
+    with pytest.raises(GroupTooLarge, match="invariant factor 6 exceeds MAX_ORDER = 5"):
         milgram_signature(form)
+    monkeypatch.setattr(discgroup, "MAX_ORDER", 6)
+    assert milgram_signature(form) == 2
+
+
+def test_milgram_past_the_old_group_cap():
+    # |A| = 2.4 * 10^13; a Gauss sum over A is out of reach
+    lat = Lattice(((2 * 10**6, 0, 0), (0, 2 * 10**6, 0), (0, 0, 6)))
+    form = discriminant_form(lat)
+    assert form.order == 24 * 10**12
+    assert milgram_signature(form) == 3
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_milgram_2_adic_u_and_v_blocks(k):
+    # b(h1, h2) = 2^-k on (Z/2^k)^2, with q(h1) = q(h2) = 0 (U) or 2^(1-k) (V)
+    d = 2**k
+    off = Fraction(1, d)
+    for diag, residue in ((Fraction(0), 0), (Fraction(2, d) % 2, 4 * (k % 2))):
+        form = FiniteQuadraticForm((d, d), (diag, diag), ((diag % 1, off), (off, diag % 1)))
+        assert milgram_signature(form) == oracles.milgram_direct(form) == residue
 
 
 def test_degenerate_form_detected():
@@ -229,3 +250,65 @@ def test_finite_form_validation():
     with pytest.raises(InvariantViolation):
         # q and b must agree on the diagonal mod 1
         FiniteQuadraticForm((2,), (Fraction(1, 2),), ((Fraction(0),),))
+    with pytest.raises(InvariantViolation):
+        # q(3g) = 3 is not 0 mod 2, so q depends on the representative
+        FiniteQuadraticForm((3,), (Fraction(1, 3),), ((Fraction(1, 3),),))
+    with pytest.raises(ParseError):
+        FiniteQuadraticForm.from_json({"orders": [3], "q": ["1/3"], "b": [["1/3"]]})
+
+
+ORDERS = (2, 4, 8, 16, 32, 3, 9, 27, 5, 25, 7, 6, 12)
+
+
+@st.composite
+def abstract_forms(draw):
+    """Every well-defined form on at most 3 cyclic generators with |A| <= 2000.
+
+    q(g_i) = m_i / d_i with d_i * m_i even, b(g_i, g_j) = n / gcd(d_i, d_j);
+    most draws are degenerate.
+    """
+    orders = draw(
+        st.lists(st.sampled_from(ORDERS), min_size=1, max_size=3).filter(lambda o: math.prod(o) <= 2000)
+    )
+    k = len(orders)
+    q = [Fraction(draw(st.integers(0, 2 * d - 1).filter(lambda m: d * m % 2 == 0)), d) for d in orders]
+    b = [[q[i] % 1 if i == j else None for j in range(k)] for i in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            g = math.gcd(orders[i], orders[j])
+            b[i][j] = b[j][i] = Fraction(draw(st.integers(0, g - 1)), g)
+    return FiniteQuadraticForm(tuple(orders), tuple(q), tuple(map(tuple, b))), None
+
+
+@st.composite
+def lattice_forms(draw):
+    """The discriminant or a twisted form of an indefinite even lattice, with its signature."""
+    n = draw(st.integers(2, 4))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = 2 * draw(st.integers(-6, 6))
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(st.integers(-6, 6))
+    lat = Lattice(tuple(map(tuple, g)))
+    sig = signature(lat)
+    assume(sig.s_plus and sig.s_minus and not sig.s_zero and abs(discriminant(lat)) <= 2000)
+    a = draw(st.none() | st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    if a is None:
+        return discriminant_form(lat), (sig.s_plus - sig.s_minus) % 8
+    assume(twist_parity_failure(lat, a) is None)
+    return mayanskiy_q(lat, a), None
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(abstract_forms() | lattice_forms())
+def test_milgram_matches_direct_sum(case):
+    form, lattice_residue = case
+    try:
+        want = oracles.milgram_direct(form)
+    except AssertionError:  # the direct sum is not sqrt(|A|) on an eighth-root ray
+        with pytest.raises(DegenerateForm):
+            milgram_signature(form)
+        return
+    assert milgram_signature(form) == want
+    if lattice_residue is not None:
+        assert want == lattice_residue

@@ -10,8 +10,10 @@ from cubiclat.errors import (
     NotSymmetric,
     ParseError,
 )
+from cubiclat.detrep import FormMatrix
 from cubiclat.discgroup import FiniteQuadraticForm, smith_normal_form
 from cubiclat.enumeration import vectors_of_norm
+from cubiclat.forms import PLANE_VARS, parse_form
 from cubiclat.fourfold import MarkedFourfold
 from cubiclat.lattice import (
     Lattice,
@@ -105,6 +107,8 @@ FQF_2 = {"orders": [2], "q": ["1/2"], "b": [["1/2"]]}
         (lambda: FiniteQuadraticForm.from_json({**FQF_2, "orders": [2.7]}), ParseError),
         (lambda: FiniteQuadraticForm.from_json({**FQF_2, "orders": "2"}), ParseError),
         (lambda: FiniteQuadraticForm.from_json({**FQF_2, "q": ["x"]}), ParseError),
+        (lambda: FormMatrix.from_json("size field entries"), ParseError),
+        (lambda: parse_form(5, PLANE_VARS), ParseError),
     ],
     ids=[
         "snf-ragged",
@@ -115,6 +119,8 @@ FQF_2 = {"orders": [2], "q": ["1/2"], "b": [["1/2"]]}
         "fqf-json-float-order",
         "fqf-json-text-order",
         "fqf-json-text-q",
+        "matrix-json-text",
+        "form-int",
     ],
 )
 def test_json_and_snf_entry_points_raise_typed_errors(call, error):
