@@ -8,9 +8,10 @@ on cubics that contain the plane where the first three coordinates vanish.
 
 Smoothness scans cover all points of projective space over F_p and certify
 only the reduction mod p; a witness is returned in a fixed scan order, so
-results are deterministic.  Plane curves are scanned line by line: the form
-and its partials are restricted to each line and their univariate gcd over
-F_p gives the line's singular points.  Fourfolds are scanned point by point.
+results are deterministic.  Both scans walk the lines (prefix, t) of the
+scan order.  Plane curves restrict the form and its partials to each line,
+and their univariate gcd over F_p gives the line's singular points.
+Fourfolds restrict only the cubic, and evaluate the partials at its roots.
 """
 
 import itertools
@@ -290,20 +291,27 @@ def _reduce_exponent(e: int, p: int) -> int:
     return (e - 1) % (p - 1) + 1 if e else 0
 
 
-def _compile(f: Form):
-    # eval'd straight-line code scans a dense cubic over P^5(F_5) in 12.6 ms,
-    # gcds on the lines of P^5 in 25 ms, since a line has only p points (2-vCPU
-    # Xeon VM); sum() and the exponent reduction keep it shallow enough to
-    # compile at any term count and exponent
-    p = f.p
-    terms = []
-    for exps, c in f.coeffs.items():
+def _source(terms, p: int) -> str:
+    # straight-line code for sum(c * v0^e0 * ...) mod p: a dense smooth cubic
+    # over P^5(F_7) scans in about 15 ms with it and about 60 ms with a loop
+    # over the terms (2-vCPU Xeon VM); sum() and the exponent reduction keep
+    # it shallow enough to compile at any term count and exponent
+    products = []
+    for exps, c in terms:
         factors = [str(c)]
         for i, e in enumerate(exps):
             factors.extend([f"v{i}"] * _reduce_exponent(e, p))
-        terms.append("*".join(factors))
-    args = ",".join(f"v{i}" for i in range(len(f.variables)))
-    return eval(f"lambda {args}: sum([{','.join(terms)}]) % {p}", {"__builtins__": {}, "sum": sum}, {})
+        products.append("*".join(factors))
+    return f"sum([{','.join(products)}]) % {p}"
+
+
+def _lambda(nargs: int, body: str):
+    args = ",".join(f"v{i}" for i in range(nargs))
+    return eval(f"lambda {args}: {body}", {"__builtins__": {}, "sum": sum}, {})
+
+
+def _compile(f: Form):
+    return _lambda(len(f.variables), _source(f.coeffs.items(), f.p))
 
 
 def projective_points(nvars: int, p: int):
@@ -332,16 +340,6 @@ def _system(f: Form, p: int) -> list:
     if g.is_zero():
         raise BadPrime(f"{p} divides every coefficient")
     return [g] + [g.derivative(i) for i in range(nvars)]
-
-
-def _point_scan(system: list) -> ScanResult:
-    value_fn, *partial_fns = map(_compile, system)
-    for count, point in enumerate(projective_points(len(partial_fns), system[0].p), 1):
-        if value_fn(*point) != 0:
-            continue
-        if all(fn(*point) == 0 for fn in partial_fns):
-            return ScanResult(False, point, count)
-    return ScanResult(True, None, count)
 
 
 def _poly_gcd(a: list, b: list, p: int) -> list:
@@ -414,4 +412,29 @@ def smooth_plane_curve_fp(f: Form, p: int) -> ScanResult:
 def smooth_fourfold_fp(f: Form, p: int) -> ScanResult:
     """Scan P^5(F_p) for singular points of the cubic."""
     _require_ambient_cubic(f)
-    return _point_scan(_system(f, p))
+    g, *partials = _system(f, p)
+    # For each prefix in projective_points(5, p), the points (prefix, t),
+    # t = 0..p-1, come consecutively in scan order: restrict g to that line,
+    # a cubic in t, and test the partials only at its roots, smallest first.
+    # Its t^3 coefficient is that of X2^3 on every line, so the (p^5 - 1)/(p - 1)
+    # lines have at most p^3 distinct restrictions, and their roots are
+    # cached.  (0,...,0,1) comes last.
+    by_power = [[] for _ in range(4)]  # the terms of t^3, t^2, t and 1
+    for exps, c in g.coeffs.items():
+        by_power[3 - exps[5]].append((exps[:5], c))
+    restrict = _lambda(5, f"({','.join(_source(terms, p) for terms in by_power)})")
+    partial_fns = [_compile(h) for h in partials]
+    roots_of = {}
+    for line, prefix in enumerate(projective_points(5, p)):
+        coeffs = restrict(*prefix)
+        roots = roots_of.get(coeffs)
+        if roots is None:
+            c3, c2, c1, c0 = coeffs
+            roots = roots_of[coeffs] = [t for t in range(p) if not (((c3 * t + c2) * t + c1) * t + c0) % p]
+        for t in roots:
+            point = prefix + (t,)
+            if not any(fn(*point) for fn in partial_fns):
+                return ScanResult(False, point, line * p + t + 1)
+    last = (0, 0, 0, 0, 0, 1)
+    singular = not sum(restrict(0, 0, 0, 0, 0)) % p and not any(fn(*last) for fn in partial_fns)
+    return ScanResult(not singular, last if singular else None, (p**6 - 1) // (p - 1))

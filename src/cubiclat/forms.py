@@ -1,7 +1,8 @@
 """Homogeneous polynomials over Q or a prime field, with a stable text format.
 
-Coefficients are Fraction over Q and canonical residues 0..p-1 over F_p;
-monomials are exponent tuples aligned with the declared variable names.
+Coefficients are int or Fraction over Q (int whenever the value is
+integral) and canonical residues 0..p-1 over F_p; monomials are exponent
+tuples aligned with the declared variable names.
 Zero forms keep a nominal degree label so matrix slots stay typed, and
 arithmetic treats them as compatible with any degree.
 """
@@ -9,6 +10,7 @@ arithmetic treats them as compatible with any degree.
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from operator import add
 
 from .errors import BadPrime, NotHomogeneous, ParseError, WrongVariable
 
@@ -29,7 +31,8 @@ def check_prime(p: int):
 @lru_cache(maxsize=64)
 def _least_divisor(p: int) -> int:
     # every Form over F_p checks p (trial division up to 46,340), and
-    # milgram_signature factors invariant factors (up to 10^6): once per number
+    # milgram_signature factors invariant factors up to MAX_ORDER = 10^12
+    # (trial division up to 10^6): once per number
     return next((d for d in range(2, isqrt(p) + 1) if p % d == 0), 0)
 
 
@@ -46,13 +49,20 @@ def parse_field(label) -> int | None:
 
 
 def _coerce(value, p):
+    # exact values only: a float would be truncated or rounded without notice
+    if not isinstance(value, (int, Fraction)):
+        raise ParseError(f"{value!r} is not an int or a Fraction")
     if p is None:
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        if value.denominator % p == 0:
-            raise BadPrime(f"denominator of {value} vanishes mod {p}")
-        return value.numerator * pow(value.denominator, -1, p) % p
-    return int(value) % p
+        return value.numerator if value.denominator == 1 else value
+    if value.denominator % p == 0:
+        raise BadPrime(f"denominator of {value} vanishes mod {p}")
+    return value.numerator * pow(value.denominator, -1, p) % p
+
+
+def _exponent(value) -> int:
+    if not isinstance(value, int):
+        raise ParseError(f"degree or exponent {value!r} is not an int")
+    return value
 
 
 class Form:
@@ -64,14 +74,14 @@ class Form:
         if p is not None:
             check_prime(p)
         self.variables = tuple(variables)
-        self.degree = int(degree)
+        self.degree = _exponent(degree)
         if self.degree < 0:
             raise NotHomogeneous("degree must be non-negative")
         self.p = p
         clean = {}
         nvars = len(self.variables)
         for exps, value in (coeffs or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(_exponent, exps))
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise NotHomogeneous(f"bad exponent tuple {exps}")
             if sum(exps) != self.degree:
@@ -85,6 +95,19 @@ class Form:
                 raise NotHomogeneous(f"duplicate monomial {exps}")
             clean[exps] = value
         self.coeffs = clean
+
+    @classmethod
+    def _result(cls, like: "Form", degree: int, coeffs: dict) -> "Form":
+        # arithmetic on checked forms needs no re-validation: reduce mod p,
+        # make integral values int and drop zeros
+        form = object.__new__(cls)
+        form.variables, form.degree, form.p = like.variables, degree, like.p
+        p = like.p
+        if p is None:
+            form.coeffs = {e: v.numerator if v.denominator == 1 else v for e, v in coeffs.items() if v}
+        else:
+            form.coeffs = {e: r for e, v in coeffs.items() if (r := v % p)}
+        return form
 
     @classmethod
     def zero(cls, variables, degree, p=None) -> "Form":
@@ -126,15 +149,10 @@ class Form:
         merged = dict(self.coeffs)
         for exps, value in other.coeffs.items():
             merged[exps] = merged.get(exps, 0) + value
-        return Form(self.variables, self.degree, merged, self.p)
+        return Form._result(self, self.degree, merged)
 
     def __neg__(self) -> "Form":
-        return Form(
-            self.variables,
-            self.degree,
-            {e: -v for e, v in self.coeffs.items()},
-            self.p,
-        )
+        return Form._result(self, self.degree, {e: -v for e, v in self.coeffs.items()})
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
@@ -144,11 +162,12 @@ class Form:
         out = {}
         for e1, v1 in self.coeffs.items():
             for e2, v2 in other.coeffs.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple(map(add, e1, e2))
                 out[key] = out.get(key, 0) + v1 * v2
-        return Form(self.variables, self.degree + other.degree, out, self.p)
+        return Form._result(self, self.degree + other.degree, out)
 
     def scale(self, value) -> "Form":
+        value = _coerce(value, self.p)
         return Form(
             self.variables,
             self.degree,
@@ -164,11 +183,12 @@ class Form:
                 continue
             key = exps[:index] + (e - 1,) + exps[index + 1 :]
             out[key] = out.get(key, 0) + e * value
-        return Form(self.variables, max(self.degree - 1, 0), out, self.p)
+        return Form._result(self, max(self.degree - 1, 0), out)
 
     def evaluate(self, point):
         if len(point) != len(self.variables):
             raise WrongVariable("point has wrong length")
+        point = [_coerce(x, self.p) for x in point]
         total = Fraction(0) if self.p is None else 0
         for exps, value in self.coeffs.items():
             term = value

@@ -12,6 +12,7 @@ import math
 import random
 from fractions import Fraction
 
+from cubiclat.detrep import FormMatrix, ScanResult, _compile, _system, projective_points
 from cubiclat.forms import Form, PLANE_VARS
 from cubiclat.lattice import Lattice, bilinear
 
@@ -280,9 +281,22 @@ def scan_direct(f: Form, p: int):
     return None, len(points)
 
 
-def random_form_matrix(rng: random.Random, p=None):
-    from cubiclat.detrep import FormMatrix
+def point_scan(f: Form, p: int) -> ScanResult:
+    """A smoothness scan that evaluates f mod p and its partials point by point.
 
+    The library's scans before they moved to lines: compiled evaluation at
+    every point of projective_points, with the same scan checks and budget.
+    """
+    value_fn, *partial_fns = map(_compile, _system(f, p))
+    for count, point in enumerate(projective_points(len(partial_fns), p), 1):
+        if value_fn(*point) != 0:
+            continue
+        if all(fn(*point) == 0 for fn in partial_fns):
+            return ScanResult(False, point, count)
+    return ScanResult(True, None, count)
+
+
+def random_form_matrix(rng: random.Random, p=None):
     lin = [[None] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(i, 3):

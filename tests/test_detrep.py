@@ -1,4 +1,5 @@
 import functools
+import itertools
 import operator
 import random
 
@@ -310,7 +311,7 @@ def test_line_scan_matches_point_scans(case):
     assume(not f.is_zero())
     res = smooth_plane_curve_fp(f, p)
     assert (res.witness, res.points_scanned) == oracles.scan_direct(f, p)
-    assert res == detrep._point_scan(detrep._system(f, p))
+    assert res == oracles.point_scan(f, p)
 
 
 def _prod(*texts):
@@ -343,5 +344,111 @@ def _prod(*texts):
 def test_line_scan_edge_cases(f, p, witness, scanned):
     res = smooth_plane_curve_fp(f, p)
     assert res == ScanResult(witness is None, witness, scanned)
-    assert res == detrep._point_scan(detrep._system(f, p))
+    assert res == oracles.point_scan(f, p)
     assert (witness, scanned) == oracles.scan_direct(f, p)
+
+
+CUBIC_MONOMIALS = [e for e in itertools.product(range(4), repeat=6) if sum(e) == 3]
+
+
+def _linear(rng, p, through=None):
+    # a random linear form in AMBIENT_VARS, vanishing at the point through if given
+    coeffs = [rng.randrange(p) for _ in range(6)]
+    if through is not None:
+        lead = through.index(1)
+        coeffs[lead] = 0
+        coeffs[lead] = -sum(c * x for c, x in zip(coeffs, through)) % p
+    return Form(AMBIENT_VARS, 1, {tuple(int(i == k) for i in range(6)): c for k, c in enumerate(coeffs)}, p)
+
+
+@st.composite
+def scan_cubics(draw):
+    """(f, p): a cubic fourfold singular by construction, dense, or built from a form matrix."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    kind = draw(st.sampled_from(("singular", "dense", "matrix")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "singular":
+        # every term is a product of two linear forms vanishing at the point
+        point = draw(st.sampled_from(list(projective_points(6, p))))
+        l1, l2, l3, l4 = (_linear(rng, p, point) for _ in range(4))
+        f = l1 * l2 * _linear(rng, p) + l3 * l4 * _linear(rng, p)
+    elif kind == "dense":
+        f = Form(AMBIENT_VARS, 3, {e: rng.randrange(p) for e in CUBIC_MONOMIALS}, p)
+    else:
+        f = build_cubic(oracles.random_form_matrix(rng, p))
+    return f, p
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(scan_cubics())
+def test_fourfold_scan_matches_point_scans(case):
+    f, p = case
+    assume(not f.is_zero())
+    res = smooth_fourfold_fp(f, p)
+    assert res == oracles.point_scan(f, p)
+    if p <= 3:
+        assert (res.witness, res.points_scanned) == oracles.scan_direct(f, p)
+
+
+def _af(text, p=None):
+    return parse_form(text, AMBIENT_VARS, p)
+
+
+# (X2 - 2*Z1)*(X2 - 5*Z1), zero on the line (1,0,0,0,0,t) at t = 2 and 5
+_TWO_ROOTS = "X2^2 - 7*Z1*X2 + 10*Z1^2"
+
+
+@pytest.mark.parametrize(
+    "f, p, witness, scanned",
+    [
+        # X2 times a smooth quadric plus a diagonal cubic in the other five
+        # variables: singular only at (0,...,0,1), the last point scanned
+        (_af("X2*Z1^2 + X2*Z2^2 + X2*Z3^2 + X2*X0^2 + X2*X1^2 + Z1^3 + Z2^3 + Z3^3 + X0^3 + X1^3"), 7, (0, 0, 0, 0, 0, 1), 19608),
+        # the cubic vanishes on the first line, so every t is a root; it is
+        # singular there at t = 2 and t = 5, and the smaller root wins
+        (
+            functools.reduce(operator.add, (_af(v) * _af(_TWO_ROOTS) for v in ("Z2", "Z3", "X0", "X1")))
+            + _af("Z2^3 + Z3^3 + X0^3 + X1^3"),
+            7,
+            (1, 0, 0, 0, 0, 2),
+            3,
+        ),
+        # p divides the degree, so every partial vanishes and f = (Z1 + ... + X2)^3
+        (_af("Z1^3+Z2^3+Z3^3+X0^3+X1^3+X2^3"), 3, (1, 0, 0, 0, 0, 2), 3),
+        # mod 2 the compiled code reduces x^3 to x; the partials x_i^2 vanish together only at 0
+        (_af("Z1^3+Z2^3+Z3^3+X0^3+X1^3+X2^3"), 2, None, 63),
+    ],
+    ids=["last-point", "line-of-roots", "fermat-mod-3", "fermat-mod-2"],
+)
+def test_fourfold_scan_edge_cases(f, p, witness, scanned):
+    res = smooth_fourfold_fp(f, p)
+    assert res == ScanResult(witness is None, witness, scanned)
+    assert res == oracles.point_scan(f, p)
+
+
+def test_fourfold_scan_rejects_huge_exponents():
+    # a cubic's exponents are at most 3; anything larger is refused up front
+    with pytest.raises(NotCubic):
+        smooth_fourfold_fp(_af(f"Z1^{10**20}"), 7)
+
+
+def test_fourfold_scan_evaluates_partials_only_at_roots(monkeypatch):
+    # no timing: count the points where the compiled partials run.  The
+    # Fermat cubic has 3,690 of the 19,608 points of P^5(F_7); a point
+    # scan would evaluate at all of them
+    points = set()
+    compile_form = detrep._compile
+
+    def counting(f):
+        fn = compile_form(f)
+
+        def wrapped(*point):
+            points.add(point)
+            return fn(*point)
+
+        return wrapped
+
+    monkeypatch.setattr(detrep, "_compile", counting)
+    res = smooth_fourfold_fp(_af("Z1^3+Z2^3+Z3^3+X0^3+X1^3+X2^3"), 7)
+    assert res == ScanResult(True, None, 19608)
+    assert 0 < len(points) <= 4000

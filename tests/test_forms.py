@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cubiclat.detrep import FormMatrix, det_form_matrix
 from cubiclat.errors import (
     BadPrime,
     NotHomogeneous,
@@ -175,3 +179,109 @@ def test_embed_preserves_evaluation():
 def test_constant_term_not_homogeneous_with_positive_degree():
     with pytest.raises(NotHomogeneous):
         parse_form("X0^2 + 1", PLANE_VARS)
+
+
+def test_inexact_values_rejected():
+    f = parse_form("X0^2+X1*X2", PLANE_VARS, 7)
+    # int(0.5) % 7 = 0 and int(2.9) % 7 = 2 used to truncate silently
+    for bad in (0.5, 2.9, "2", None):
+        with pytest.raises(ParseError):
+            f.scale(bad)
+    with pytest.raises(ParseError):
+        parse_form("X0", PLANE_VARS).scale(0.1)
+    assert f.scale(Fraction(1, 2)) == f.scale(4)
+    assert parse_form("X0", PLANE_VARS).scale(Fraction(2, 2)).coeffs == {(1, 0, 0): 1}
+    with pytest.raises(ParseError):
+        Form(PLANE_VARS, 1.5, {})
+    with pytest.raises(ParseError):
+        Form(PLANE_VARS, 1, {(1.7, 0, 0): 1})
+    with pytest.raises(ParseError):
+        Form(PLANE_VARS, 1, {(1, 0, 0): "x"})
+    with pytest.raises(ParseError):
+        Form(PLANE_VARS, 1, {(1, 0, 0): None}, 5)
+    with pytest.raises(ParseError):
+        Form(PLANE_VARS, 1, {(1, 0, 0): 1.0})
+
+
+def test_evaluate_coordinates_are_exact():
+    f = parse_form("X0^2+X1*X2", PLANE_VARS)
+    with pytest.raises(ParseError):
+        f.evaluate((0.5, 1, 1))
+    assert f.evaluate((Fraction(1, 2), 1, 1)) == Fraction(5, 4)
+    assert type(f.evaluate((1, 1, 1))) is Fraction
+    g = parse_form("X0^2+X1*X2", PLANE_VARS, 7)
+    # 1/2 = 4 mod 7
+    assert g.evaluate((Fraction(1, 2), 1, 1)) == g.evaluate((4, 1, 1)) == 3
+    with pytest.raises(BadPrime):
+        g.evaluate((Fraction(1, 7), 1, 1))
+    with pytest.raises(ParseError):
+        g.evaluate((0.5, 1, 1))
+
+
+def test_integral_coefficients_are_int_over_q():
+    f = parse_form("2*X0 - 1/2*X1", PLANE_VARS)
+    assert [type(v) for _, v in sorted(f.coeffs.items())] == [Fraction, int]
+    # an integral Fraction from arithmetic comes back as an int too
+    assert (f * f).coeffs[(0, 2, 0)] == Fraction(1, 4)
+    assert type((f + f).coeffs[(0, 1, 0)]) is int
+
+
+def _forms(p, degree):
+    monomials = [e for e in itertools.product(range(degree + 1), repeat=3) if sum(e) == degree]
+    # denominators prime to every drawn p, so each coefficient has a residue
+    values = st.integers(-9, 9) | st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 11, 13)))
+    return st.builds(
+        lambda coeffs: Form(PLANE_VARS, degree, coeffs, p),
+        st.dictionaries(st.sampled_from(monomials), values, max_size=len(monomials)),
+    )
+
+
+@st.composite
+def form_pairs(draw):
+    """(f, g, h, point, p): f and g of one degree, h of another, a point."""
+    p = draw(st.sampled_from((None, 2, 3, 7, 101)))
+    d, e = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    coordinate = st.integers(-6, 6) if p is None else st.integers(0, p - 1)
+    if p is None:
+        coordinate = coordinate | st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    point = draw(st.tuples(coordinate, coordinate, coordinate))
+    return draw(_forms(p, d)), draw(_forms(p, d)), draw(_forms(p, e)), point, p
+
+
+def _revalidated(r):
+    return Form(r.variables, r.degree, r.coeffs, r.p)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(form_pairs())
+def test_arithmetic_agrees_with_evaluation(case):
+    f, g, h, x, p = case
+    reduce = (lambda v: v) if p is None else (lambda v: v % p)
+    results = [f * h, f + g, f - g, f - f, -f] + [f.derivative(i) for i in range(3)]
+    for r in results:
+        # the unchecked arithmetic path builds exactly what the checked constructor would
+        again = _revalidated(r)
+        assert r == again and r.degree == again.degree
+        assert [type(v) for v in r.coeffs.values()] == [type(v) for v in again.coeffs.values()]
+    assert (f * h).evaluate(x) == reduce(f.evaluate(x) * h.evaluate(x))
+    assert (f + g).evaluate(x) == reduce(f.evaluate(x) + g.evaluate(x))
+    assert (f - g).evaluate(x) == reduce(f.evaluate(x) - g.evaluate(x))
+    # Euler: sum x_i * (d_i f)(x) = deg(f) * f(x)
+    euler = sum(xi * f.derivative(i).evaluate(x) for i, xi in enumerate(x))
+    assert reduce(euler) == reduce(f.degree * f.evaluate(x))
+
+
+def test_determinant_matches_evaluated_matrix():
+    # permutation_det shares Form arithmetic; Gauss elimination on the values does not
+    rng = random.Random(79)
+    for p in (None, 101):
+        for _ in range(4):
+            m = oracles.random_form_matrix(rng, p)
+            if p is None:
+                # non-integral entries, kept symmetric
+                m = FormMatrix([[f.scale(Fraction(1, 1 + (i + j) % 3)) for j, f in enumerate(row)] for i, row in enumerate(m.entries)])
+            det = det_form_matrix(m)
+            for _ in range(3):
+                x = tuple(rng.randint(-5, 5) for _ in range(3))
+                want = oracles.det_fraction([[f.evaluate(x) for f in row] for row in m.entries])
+                assert det.evaluate(x) == (want if p is None else want % p)
