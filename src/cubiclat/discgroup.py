@@ -176,7 +176,9 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
 
     From U*G*V = D the dual is spanned by the columns of V*D^-1, so the
     i-th column of V divided by d_i generates a cyclic factor of order d_i.
-    Factors with d_i = 1 are dropped.
+    Each generator is reduced mod L, to coordinates in [0, 1), so that its
+    numerators stay below d_i however large V grows.  Factors with d_i = 1
+    are dropped.
     """
     disc = discriminant(lat)
     if disc == 0:
@@ -190,7 +192,7 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
         if d == 1:
             continue
         orders.append(d)
-        gens.append(tuple(Fraction(snf.v[j][i], d) for j in range(n)))
+        gens.append(tuple(Fraction(snf.v[j][i] % d, d) for j in range(n)))
     if math.prod(orders) != abs(disc):
         raise InvariantViolation(
             f"group order {math.prod(orders)} != |disc| {abs(disc)}"
@@ -363,7 +365,7 @@ def milgram_signature(form: FiniteQuadraticForm) -> int:
     # (when b is non-degenerate on A_p, which holds exactly when det G_p *
     # p^(sum k_i) is a p-adic unit), and G_p^-1 = G_p^-1 * G_p * G_p^-1 is
     # congruent to G_p over Q; oddity and p-excess are invariants of the
-    # rational class, and _diagonal keeps the determinant
+    # rational class, and the entries of _diagonal multiply to det G_p
     sigma = 0
     for p in sorted(primes):
         gens = [(i, *_split(d, p)) for i, d in enumerate(form.orders) if d % p == 0]

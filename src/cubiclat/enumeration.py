@@ -1,7 +1,7 @@
 """Complete short-vector enumeration in positive-definite lattices.
 
-Fincke-Pohst on an integer-scaled decomposition.  The exact rational
-Cholesky-style decomposition is computed once and scaled so that
+Fincke-Pohst on an integer-scaled decomposition.  The pivots and rows of
+the fraction-free elimination lattice._eliminate are read once as
 L*Q(x) = sum_i W_i*(d_i*x_i + S_i)^2 with integers W_i, d_i and
 S_i = sum_{j>i} N_ij*x_j.  The walk carries L times the norm still to place
 as an int: every search interval comes from an integer square root, never
@@ -11,43 +11,32 @@ nonzero coordinate is positive, one vector of each pair {v, -v}, and visits
 at most MAX_NODES nodes: beyond that, EnumerationTooLarge.
 """
 
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .errors import Degenerate, EnumerationTooLarge, NotPositiveDefinite, OddLattice, WrongRank
-from .lattice import Lattice, Vector, _ints, discriminant, gram_times, is_even
+from .lattice import Lattice, Vector, _eliminate, _ints, discriminant, gram_times, is_even
 
 # nodes one vectors_of_norm call may visit; E8+E8 at norm 4 visits 73,071
 MAX_NODES = 10**6
 
 
-def _decompose(lat: Lattice) -> list[list[Fraction]]:
-    # Q(x) = sum_i q[i][i] * (x_i + sum_{j>i} q[i][j] x_j)^2
-    n = lat.rank
-    q = [[Fraction(x) for x in row] for row in lat.gram]
-    for i in range(n):
-        if q[i][i] <= 0:
-            raise NotPositiveDefinite("form is not positive definite")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] = q[k][l] - q[k][i] * q[i][l]
-    return q
-
-
 def _scaled(lat: Lattice) -> tuple[int, list[tuple[int, int, list[int]]]]:
-    # L and the rows (W_i, d_i, N_i) of L*Q(x) = sum_i W_i*(d_i*x_i + S_i)^2
-    q = _decompose(lat)
-    n = lat.rank
-    dens = [lcm(*(q[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
-    weights = [q[i][i] / (d * d) for i, d in enumerate(dens)]
-    scale = lcm(*(w.denominator for w in weights))
-    return scale, [
-        ((w * scale).numerator, d, [(q[i][j] * d).numerator if j > i else 0 for j in range(n)])
-        for i, (w, d) in enumerate(zip(weights, dens))
-    ]
+    # L and the rows (W_i, d_i, N_i) of L*Q(x) = sum_i W_i*(d_i*x_i + S_i)^2:
+    # Q(x) = sum_i (P_i*x_i + sum_{j>i} r_ij*x_j)^2 / (P_(i-1)*P_i) from the
+    # pivots of _eliminate; dividing row i by its content g_i gives d_i = P_i/g_i,
+    # N_ij = r_ij/g_i and W_i = L*g_i^2/(P_(i-1)*P_i), L least to make all whole
+    pivots = _eliminate(lat.gram)
+    # Sylvester: positive definite iff the pivots are 0..n-1 in order, all P_i > 0
+    if [i for i, p, _ in pivots if p > 0] != list(range(lat.rank)):
+        raise NotPositiveDefinite("form is not positive definite")
+    prev = 1
+    parts = []
+    for i, p, row in pivots:
+        g = gcd(p, *row[i + 1:])
+        parts.append((g * g, prev * p, p // g, [0] * (i + 1) + [r // g for r in row[i + 1:]]))
+        prev = p
+    scale = lcm(*(den // gcd(num, den) for num, den, _, _ in parts))
+    return scale, [(scale * num // den, d, row) for num, den, d, row in parts]
 
 
 def _walk(level, rest, s, free, x, rows, found, budget) -> int:

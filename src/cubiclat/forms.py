@@ -73,14 +73,23 @@ class Form:
     def __init__(self, variables, degree, coeffs=None, p=None):
         if p is not None:
             check_prime(p)
-        self.variables = tuple(variables)
+        try:
+            self.variables = tuple(variables)
+        except TypeError:
+            raise ParseError(f"variables must be a sequence of names, got {variables!r}") from None
         self.degree = _exponent(degree)
         if self.degree < 0:
             raise NotHomogeneous("degree must be non-negative")
         self.p = p
+        if coeffs is None:
+            coeffs = {}
+        elif not isinstance(coeffs, dict):
+            raise ParseError(f"coefficients must be a dict keyed by exponent tuples, got {coeffs!r}")
         clean = {}
         nvars = len(self.variables)
-        for exps, value in (coeffs or {}).items():
+        for exps, value in coeffs.items():
+            if not isinstance(exps, tuple):
+                raise ParseError(f"exponent key {exps!r} is not a tuple")
             exps = tuple(map(_exponent, exps))
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise NotHomogeneous(f"bad exponent tuple {exps}")

@@ -1,14 +1,14 @@
 """Integral lattices as integer Gram matrices, with exact invariants.
 
-Everything here runs on Python ints and fractions.Fraction; no floating
-point is used anywhere, so discriminants and signatures are exact at any
-rank and any entry size.
+Everything here runs on Python ints (fractions.Fraction only for the rational
+matrices of _diagonal); no floating point is used anywhere, so discriminants
+and signatures are exact at any rank and any entry size.
 """
 
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -143,47 +143,58 @@ def discriminant(lat: Lattice) -> int:
     return det_int(lat.gram)
 
 
-def _diagonal(rows: Sequence[Sequence]) -> list[Fraction]:
-    """Diagonal entries of a form congruent over Q to the symmetric matrix rows.
+def _eliminate(rows: Sequence[Sequence[int]]) -> list[tuple[int, int, list[int]]]:
+    """Fraction-free (Bareiss) symmetric elimination of an integer matrix.
 
-    Symmetric Gaussian elimination over Fraction; the product of the entries
-    is the determinant, and a zero entry stands for each dimension of the
-    radical.  When every remaining diagonal entry is zero, an off-diagonal
-    b(e_i, e_j) = b != 0 makes e_i + e_j a pivot of norm 2b, so the plane
-    they span becomes <2b, -b/2>.
+    Returns (index, P_k, row) per pivot, so that D_k = P_k / P_(k-1), P_0 = 1,
+    diagonalizes the form over Q; row holds the pivot's entries when taken.
+    The pivot is the first remaining nonzero diagonal entry, else e_i + e_j of
+    norm 2b for the first b(e_i, e_j) = b != 0.  Every remaining row is
+    updated, also where row[piv] = 0, so each // is exact.
     """
-    a = [[Fraction(x) for x in row] for row in rows]
+    a = [list(row) for row in rows]
     alive = list(range(len(a)))
     out = []
+    prev = 1
     while alive:
-        piv = next((i for i in alive if a[i][i] != 0), None)
+        piv = next((i for i in alive if a[i][i]), None)
         if piv is None:
-            pair = next(((i, j) for i in alive for j in alive if i < j and a[i][j] != 0), None)
+            pair = next(((i, j) for i in alive for j in alive if i < j and a[i][j]), None)
             if pair is None:
-                return out + [Fraction(0)] * len(alive)
+                break
             piv, j = pair
             for k in alive:
-                a[piv][k] += a[j][k]
-            for k in alive:
-                a[k][piv] += a[k][j]
-        d = a[piv][piv]
-        out.append(d)
+                a[piv][k] = a[k][piv] = a[piv][k] + a[j][k]
+            a[piv][piv] = 2 * a[piv][j]
         alive.remove(piv)
         top = a[piv]
+        d = top[piv]
         for i in alive:
             row = a[i]
-            if row[piv] == 0:
-                continue
-            f = row[piv] / d
+            f = row[piv]
             for j in alive:
-                row[j] -= f * top[j]
+                row[j] = (row[j] * d - f * top[j]) // prev
+        out.append((piv, d, top))
+        prev = d
     return out
 
 
+def _diagonal(rows: Sequence[Sequence]) -> list[Fraction]:
+    """Diagonal of a form congruent over Q to rows, a matrix of ints or Fractions.
+
+    D_k = P_k / (c*P_(k-1)) from _eliminate on c*rows, c the lcm of the
+    denominators; a trailing 0 stands for each dimension of the radical.
+    """
+    c = lcm(*(x.denominator for row in rows for x in row))
+    ps = [p for _, p, _ in _eliminate([[x.numerator * (c // x.denominator) for x in row] for row in rows])]
+    return [Fraction(p, c * q) for p, q in zip(ps, [1] + ps)] + [Fraction(0)] * (len(rows) - len(ps))
+
+
 def signature(lat: Lattice) -> Signature:
-    """Counts (s_plus, s_minus, s_zero) of the signs of a rational diagonalization."""
-    signs = [(d > 0) - (d < 0) for d in _diagonal(lat.gram)]
-    return Signature(signs.count(1), signs.count(-1), signs.count(0))
+    """Counts (s_plus, s_minus, s_zero) of the signs of D_k = P_k / P_(k-1)."""
+    ps = [p for _, p, _ in _eliminate(lat.gram)]
+    plus = sum((p > 0) == (q > 0) for p, q in zip(ps, [1] + ps))
+    return Signature(plus, len(ps) - plus, lat.rank - len(ps))
 
 
 def is_even(lat: Lattice) -> bool:

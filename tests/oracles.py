@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 
 from cubiclat.detrep import FormMatrix, ScanResult, _compile, _system, projective_points
+from cubiclat.errors import NotPositiveDefinite
 from cubiclat.forms import Form, PLANE_VARS
 from cubiclat.lattice import Lattice, bilinear
 
@@ -126,6 +127,70 @@ def fraction_vectors_of_norm(lat: Lattice, n: int):
     return sorted(found)
 
 
+def fraction_diagonal(rows) -> list[Fraction]:
+    """Diagonal of a form congruent over Q to rows, by elimination over Fraction.
+
+    The library's lattice._diagonal before it moved to integer (Bareiss)
+    elimination, with the same pivot rule: the first remaining nonzero
+    diagonal entry, or else e_i + e_j for the first nonzero b(e_i, e_j),
+    which makes the plane they span <2b, -b/2>.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    alive = list(range(len(a)))
+    out = []
+    while alive:
+        piv = next((i for i in alive if a[i][i] != 0), None)
+        if piv is None:
+            pair = next(((i, j) for i in alive for j in alive if i < j and a[i][j] != 0), None)
+            if pair is None:
+                return out + [Fraction(0)] * len(alive)
+            piv, j = pair
+            for k in alive:
+                a[piv][k] += a[j][k]
+            for k in alive:
+                a[k][piv] += a[k][j]
+        d = a[piv][piv]
+        out.append(d)
+        alive.remove(piv)
+        top = a[piv]
+        for i in alive:
+            row = a[i]
+            if row[piv] == 0:
+                continue
+            f = row[piv] / d
+            for j in alive:
+                row[j] -= f * top[j]
+    return out
+
+
+def fraction_scaled(lat: Lattice):
+    """(L, [(W_i, d_i, N_i)]) with L*Q(x) = sum_i W_i*(d_i*x_i + sum_j N_ij*x_j)^2.
+
+    The library's enumeration._scaled before it moved to integer
+    elimination: an exact rational Cholesky-style decomposition
+    Q(x) = sum_i q_ii*(x_i + sum_{j>i} q_ij*x_j)^2, then each row scaled by
+    the lcm of its denominators and the weights by the lcm of theirs.
+    """
+    n = lat.rank
+    q = [[Fraction(x) for x in row] for row in lat.gram]
+    for i in range(n):
+        if q[i][i] <= 0:
+            raise NotPositiveDefinite("form is not positive definite")
+        for j in range(i + 1, n):
+            q[j][i] = q[i][j]
+            q[i][j] = q[i][j] / q[i][i]
+        for k in range(i + 1, n):
+            for l in range(k, n):
+                q[k][l] = q[k][l] - q[k][i] * q[i][l]
+    dens = [math.lcm(*(q[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    weights = [q[i][i] / (d * d) for i, d in enumerate(dens)]
+    scale = math.lcm(*(w.denominator for w in weights))
+    return scale, [
+        ((w * scale).numerator, d, [(q[i][j] * d).numerator if j > i else 0 for j in range(n)])
+        for i, (w, d) in enumerate(zip(weights, dens))
+    ]
+
+
 def rank2_isometry(g1, g2, box: int = 5):
     """Search integer P with det +-1 and P^T g1 P == g2.  Returns P or None."""
     for p00, p01, p10, p11 in itertools.product(range(-box, box + 1), repeat=4):
@@ -208,6 +273,21 @@ def random_posdef(rng: random.Random, max_rank: int = 3, entry_cap: int = 30):
         lat = Lattice(tuple(tuple(row) for row in g))
         if signature(lat) == (r, 0, 0):
             return lat
+
+
+def seeded_even_gram(seed: int, n: int):
+    """A symmetric n x n matrix, entries in [-9, 9] and an even diagonal in [-10, 10].
+
+    Random(220) at n = 20 and Random(324) at n = 24 give Smith transforms
+    with thousands of digits.
+    """
+    rng = random.Random(seed)
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = rng.randint(-9, 9)
+        g[i][i] = 2 * rng.randint(-5, 5)
+    return g
 
 
 def milgram_direct(form) -> int:

@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 import cubiclat
 from cubiclat.cli import main
 
+import oracles
+
 A_EXE_TEXT = "[[3,1,4],[1,3,4],[4,4,12]]"
 MARKED_369 = json.dumps(
     {"gram": [[3, 1, 4], [1, 3, 2], [4, 2, 10]], "h2": [1, 0, 0], "p": [0, 1, 0]}
@@ -96,6 +98,16 @@ def test_complement_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["result"]["gram"] == [[24, -24], [-24, 28]]
+
+
+@pytest.mark.parametrize("seed, n", [(220, 20), (324, 24)])
+def test_discgroup_with_huge_smith_transform(capsys, seed, n):
+    # these Gram matrices once made `lat discgroup` print a generator
+    # numerator past Python's 4,300-digit str limit and crash with exit 1
+    gram = json.dumps(oracles.seeded_even_gram(seed, n))
+    code, out, err = run(capsys, "lat", "discgroup", "--gram", gram, "--output", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["orders"]
 
 
 def test_milgram_command(capsys):

@@ -90,8 +90,10 @@ def test_discriminant_group_order_matches_disc():
 
 def test_generators_live_in_dual():
     rng = random.Random(19)
-    for _ in range(12):
-        lat = oracles.random_even_posdef(rng, max_rank=3, disc_cap=1000)
+    lats = [oracles.random_even_posdef(rng, max_rank=3, disc_cap=1000) for _ in range(12)]
+    # Smith transforms of these reach thousands of digits
+    lats += [Lattice(tuple(map(tuple, oracles.seeded_even_gram(s, n)))) for s, n in ((220, 20), (324, 24))]
+    for lat in lats:
         dg = discriminant_group(lat)
         for order, gen in zip(dg.orders, dg.generators):
             # generator pairs integrally with the lattice
@@ -100,8 +102,10 @@ def test_generators_live_in_dual():
                     Fraction(lat.gram[i][j]) * gen[j] for j in range(lat.rank)
                 )
                 assert pairing.denominator == 1
-            # and dies after `order` steps
-            assert all((order * c).denominator == 1 for c in gen)
+            # is reduced mod L, and its order in Q^n / Z^n, the lcm of its
+            # denominators, is exactly `order`
+            assert all(0 <= c < 1 for c in gen)
+            assert math.lcm(*(c.denominator for c in gen)) == order
 
 
 def test_discriminant_form_frozen_small():

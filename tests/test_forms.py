@@ -203,6 +203,19 @@ def test_inexact_values_rejected():
         Form(PLANE_VARS, 1, {(1, 0, 0): 1.0})
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (PLANE_VARS, 1, {5: 1}),  # an int where the exponent tuple goes
+        (5, 1, {}),  # variables that are not a sequence
+        (PLANE_VARS, 1, [(1, 0, 0)]),  # coefficients that are not a dict
+    ],
+)
+def test_malformed_containers_are_parse_errors(args):
+    with pytest.raises(ParseError):
+        Form(*args)
+
+
 def test_evaluate_coordinates_are_exact():
     f = parse_form("X0^2+X1*X2", PLANE_VARS)
     with pytest.raises(ParseError):

@@ -1,22 +1,27 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubiclat.errors import (
     Degenerate,
     DimensionMismatch,
     InvariantViolation,
     NotFiniteIndex,
+    NotPositiveDefinite,
     NotSymmetric,
     ParseError,
 )
 from cubiclat.detrep import FormMatrix
 from cubiclat.discgroup import FiniteQuadraticForm, smith_normal_form
-from cubiclat.enumeration import vectors_of_norm
+from cubiclat.enumeration import _scaled, vectors_of_norm
 from cubiclat.forms import PLANE_VARS, parse_form
 from cubiclat.fourfold import MarkedFourfold
 from cubiclat.lattice import (
     Lattice,
+    _diagonal,
     Signature,
     bilinear,
     det_int,
@@ -281,3 +286,76 @@ def test_degenerate_signature():
 def test_json_round_trip():
     lat = Lattice(((3, 1), (1, 3)))
     assert Lattice.from_json(lat.to_json()) == lat
+
+
+@st.composite
+def symmetric_matrices(draw):
+    # rank 1-8, one of: B^T B + a positive diagonal (positive definite, with
+    # nontrivial denominators in its decomposition); B^T B for k x n B
+    # (degenerate when k < n); a plain symmetric matrix with some zero
+    # diagonal entries; a diagonal block beside a zero-diagonal block, its
+    # basis permuted, so that hyperbolic steps follow ordinary pivots.  The
+    # last three may get a zero row and rational entries.
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(("posdef", "gram", "plain", "split")))
+    entries = st.sampled_from((0, 0, 1, -1, 2, -3, 5))
+    if kind in ("plain", "split"):
+        m = draw(st.integers(0, n)) if kind == "split" else n
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if kind == "plain" or i >= m:
+                    g[i][j] = g[j][i] = draw(entries)
+            if i < m:
+                g[i][i] = draw(st.sampled_from((1, -1, 2, -3, 5)))
+        zeros = range(m, n) if kind == "split" else draw(st.sets(st.integers(0, n - 1)))
+        for i in zeros:
+            g[i][i] = 0
+        order = draw(st.permutations(range(n)))
+        g = [[g[i][j] for j in order] for i in order]
+    else:
+        k = n if kind == "posdef" else draw(st.integers(1, n + 1))
+        b = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(k)]
+        g = [[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
+        if kind == "posdef":
+            for i in range(n):
+                g[i][i] += draw(st.integers(1, 3))
+            return g
+    if draw(st.integers(0, 3)) == 0:
+        z = draw(st.integers(0, n - 1))
+        for j in range(n):
+            g[z][j] = g[j][z] = 0
+    if draw(st.integers(0, 2)) == 0:
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = Fraction(g[i][j], draw(st.sampled_from((1, 2, 3, 4, 9))))
+    return g
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(symmetric_matrices(), st.lists(st.integers(-3, 3), min_size=8, max_size=8))
+def test_integer_elimination_matches_fraction_oracles(g, x):
+    diag = _diagonal(g)
+    assert diag == oracles.fraction_diagonal(g)
+    if any(isinstance(v, Fraction) for row in g for v in row):
+        return
+    det = det_int(g)
+    assert (math.prod(diag) == det) if det else (0 in diag)
+    lat = Lattice(tuple(map(tuple, g)))
+    assert signature(lat) == Signature(
+        sum(d > 0 for d in diag), sum(d < 0 for d in diag), sum(d == 0 for d in diag)
+    )
+    try:
+        want = oracles.fraction_scaled(lat)
+    except NotPositiveDefinite:
+        with pytest.raises(NotPositiveDefinite):
+            _scaled(lat)
+        return
+    scale, rows = _scaled(lat)
+    assert (scale, rows) == want
+    n = lat.rank
+    x = x[:n]
+    assert scale * bilinear(lat, x, x) == sum(
+        w * (d * x[i] + sum(nij * xj for nij, xj in zip(row, x))) ** 2
+        for i, (w, d, row) in enumerate(rows)
+    )
